@@ -244,6 +244,25 @@ let print_stats (stats : Fi_campaign.stats) elapsed =
   Printf.printf "verdicts: %d benign, %d latent, %d SDC\n" stats.Fi_campaign.benign
     stats.Fi_campaign.latent stats.Fi_campaign.sdc
 
+(* Pruning's offline cost against what it saved: each skipped sample
+   would have cost one injection at the rate this run measured. *)
+let print_break_even ~prune_s (stats : Fi_campaign.stats) elapsed =
+  let per_injection =
+    if stats.Fi_campaign.injections > 0 then elapsed /. float_of_int stats.Fi_campaign.injections
+    else 0.
+  in
+  let saved = float_of_int stats.Fi_campaign.skipped *. per_injection in
+  Printf.printf
+    "break-even: MATE search + replay took %.2fs; %d skipped samples saved ~%.2fs at %.3f \
+     ms/injection; "
+    prune_s stats.Fi_campaign.skipped saved (1000. *. per_injection);
+  if saved >= prune_s then Printf.printf "net gain %.2fs\n" (saved -. prune_s)
+  else
+    Printf.printf "pruning was a NET LOSS of %.2fs%s\n" (prune_s -. saved)
+      (if per_injection > 0. then
+         Printf.sprintf " (break-even needs ~%.0f skipped samples)" (ceil (prune_s /. per_injection))
+       else "")
+
 (* The deterministic MATE-pruner build shared by the local runner and
    every distributed worker: identical inputs, identical skip set. *)
 let build_pruner nl ~make ~cycles ~space =
@@ -317,7 +336,9 @@ let run core program cycles samples seed prune jobs checkpoint_interval batched 
     in
     Printf.printf "checkpoint interval: %d cycles; jobs: %d; engine: %s\n%!"
       (Fi_campaign.checkpoint_interval campaign) jobs (Fi_campaign.kernel_name kernel);
+    let prune_start = Mono.now () in
     let pruner = if prune then Some (build_pruner nl ~make ~cycles ~space) else None in
+    let prune_s = Mono.now () -. prune_start in
     (* The MATE pruner proves single-flop, single-cycle (SEU) faults
        benign; [lift_pruned] soundly lifts that claim to the model's
        expanded fault (or refuses to, for faults MATEs cannot cover). *)
@@ -346,7 +367,9 @@ let run core program cycles samples seed prune jobs checkpoint_interval batched 
         | Fi_campaign.Delta_batched ->
           Fi_campaign.run_sample_delta_batched campaign ~space ~rng ~n:samples ?skip ?lanes ()
       in
-      print_stats stats (Mono.now () -. start);
+      let elapsed = Mono.now () -. start in
+      print_stats stats elapsed;
+      if prune then print_break_even ~prune_s stats elapsed;
       report_unknown_flops pruner;
       0
     end
@@ -387,6 +410,7 @@ let run core program cycles samples seed prune jobs checkpoint_interval batched 
         if result.Durable.retried > 0 then
           Printf.printf "supervisor: %d experiment retries on fresh systems\n" result.Durable.retried;
         print_stats result.Durable.stats elapsed;
+        if prune then print_break_even ~prune_s result.Durable.stats elapsed;
         if audit > 0. then begin
           let a = result.Durable.audit in
           Printf.printf "audit: %d pruned faults injected, %d soundness violations, %d MATEs quarantined\n"

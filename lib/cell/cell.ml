@@ -27,6 +27,7 @@ type kind =
 
 type t = {
   kind : kind;
+  index : int;
   name : string;
   arity : int;
   table : int;
@@ -108,9 +109,10 @@ let table_of_kind kind =
   done;
   !table
 
-let make kind =
+let make index kind =
   {
     kind;
+    index;
     name = kind_to_string kind ^ "_X1";
     arity = arity_of_kind kind;
     table = table_of_kind kind;
@@ -123,7 +125,7 @@ let all_kinds =
     TIEL; TIEH;
   ]
 
-let all = List.map make all_kinds
+let all = List.mapi make all_kinds
 
 let of_kind kind = List.find (fun c -> c.kind = kind) all
 

@@ -44,6 +44,7 @@ type kind =
 
 type t = private {
   kind : kind;
+  index : int;  (** position in {!all}: an O(1) key for per-cell tables *)
   name : string;  (** library name, e.g. ["NAND2_X1"] *)
   arity : int;  (** number of input pins *)
   table : int;  (** truth table: bit [i] is the output for input pattern [i],

@@ -111,14 +111,26 @@ let term_to_string (_cell : Cell.t) term =
     let literal l = (if l.value then "" else "!") ^ pin_name l.pin in
     "(" ^ String.concat " & " (List.map literal term) ^ ")"
 
-let cache : (Cell.kind * int, term list) Hashtbl.t = Hashtbl.create 64
+let pins_of_mask mask =
+  List.filter (fun pin -> mask land (1 lsl pin) <> 0) (List.init Cell.max_arity Fun.id)
+
+(* Every library cell against every non-empty faulty-pin subset, indexed
+   by the cell's [index] and then by the faulty-pin bitmask (entry 0
+   unused). Built eagerly when the module is initialised and never
+   written again, so any number of domains may read it. *)
+let table =
+  Array.of_list
+    (List.map
+       (fun (cell : Cell.t) ->
+         Array.init (1 lsl cell.arity) (fun fmask ->
+             if fmask = 0 then [] else masking_terms cell ~faulty:(pins_of_mask fmask)))
+       Cell.all)
 
 let memoized_masking_terms (cell : Cell.t) ~faulty =
   check_faulty cell faulty;
-  let key = (cell.kind, bitmask_of_pins faulty) in
-  match Hashtbl.find_opt cache key with
-  | Some terms -> terms
-  | None ->
-    let terms = masking_terms cell ~faulty in
-    Hashtbl.add cache key terms;
-    terms
+  table.(cell.index).(bitmask_of_pins faulty)
+
+let masking_terms_of_mask (cell : Cell.t) fmask =
+  if fmask <= 0 || fmask >= 1 lsl cell.arity then
+    invalid_arg (Printf.sprintf "Gm: faulty mask %d outside %s" fmask cell.name);
+  table.(cell.index).(fmask)

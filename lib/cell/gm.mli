@@ -41,5 +41,14 @@ val term_to_string : Cell.t -> term -> string
     names [a1], [a2], ... *)
 
 val memoized_masking_terms : Cell.t -> faulty:int list -> term list
-(** Same as {!masking_terms} but cached per (cell kind, faulty set); the
-    whole-netlist MATE search calls this once per gate instance. *)
+(** Same as {!masking_terms}, read from a table precomputed for every
+    {!Cell.all} entry and faulty set when the module is initialised: the
+    same (physically equal) list for the same cell and faulty set. The
+    table is immutable, so concurrent domains may call this freely; the
+    whole-netlist MATE search calls it once per gate instance. *)
+
+val masking_terms_of_mask : Cell.t -> int -> term list
+(** [masking_terms_of_mask cell fmask] is {!memoized_masking_terms} with
+    the faulty set given as a pin bitmask (bit [j] = pin [j]), for hot
+    loops that already track pins as bits. Raises [Invalid_argument] if
+    [fmask] is empty or names a pin outside the cell. *)

@@ -3,6 +3,7 @@ module Cone = Pruning_netlist.Cone
 module Cell = Pruning_cell.Cell
 module Gm = Pruning_cell.Gm
 module Stats = Pruning_util.Stats
+module Mono = Pruning_util.Mono
 
 type params = {
   depth : int;
@@ -96,17 +97,12 @@ let eval_gate_uncached (cell : Cell.t) packed =
   else if !seen1 then v1
   else v0
 
-(* One flat cache row per (cell function, arity). *)
-let eval_cache : (int, int array) Hashtbl.t = Hashtbl.create 64
-
-let cache_row (cell : Cell.t) =
-  let key = (cell.Cell.table lsl 3) lor cell.Cell.arity in
-  match Hashtbl.find_opt eval_cache key with
-  | Some row -> row
-  | None ->
-    let row = Array.init 256 (fun packed -> eval_gate_uncached cell packed) in
-    Hashtbl.replace eval_cache key row;
-    row
+(* One 256-entry row per library cell, indexed by the cell's [index]:
+   built when the module is initialised and only ever read afterwards,
+   so concurrent per-wire searches share it. *)
+let eval_rows =
+  Array.of_list
+    (List.map (fun (cell : Cell.t) -> Array.init 256 (eval_gate_uncached cell)) Cell.all)
 
 (* ------------------------------------------------------------------ *)
 (* Cone evaluation state.                                               *)
@@ -114,23 +110,33 @@ let cache_row (cell : Cell.t) =
 type cone_eval = {
   nl : Netlist.t;
   values : Bytes.t;  (** per wire: v0/v1/vu/vf *)
-  baseline : Bytes.t;  (** values with no literals set *)
-  rows : int array array;  (** per cone gate: eval-cache row *)
+  baseline : Bytes.t;
+      (** values with no literals set: support constants, sources F, cone
+          evaluated *)
   cone_gates : Netlist.gate array;  (** topological order *)
   sink_index : int array;  (** indices into cone_gates whose output sinks *)
+  role : Bytes.t;  (** per wire: 1 cone gate output, 2 one that sinks, else 0 *)
+  mutable faulty_gates : int;  (** cone gate outputs currently F *)
+  mutable faulty_sinks : int;  (** sinking cone gate outputs currently F *)
   border_wires : Netlist.wire array;
   in_cone : bool array;
-  in_support : bool array;  (** wires in the transitive fanin of border *)
-  topo_pos : int array;  (** per gate id: position in the global topo *)
-  sources : Netlist.wire list;
-  gate_depth : (int, int) Hashtbl.t;  (** cone-gate BFS distance *)
-  downstream : (Netlist.wire, int list) Hashtbl.t;
-      (** per literal-candidate wire: support gates downstream of it, in
-          topological order (computed on demand) *)
-  gate_stamp : int array;  (** scratch for merging downstream lists *)
-  pin_stamp : int array;  (** per wire: literal-pinned in this validation *)
+  active : bool array;  (** per gate: a support or cone gate *)
+  gate_rows : int array array;  (** per gate: its cell's eval row *)
+  gate_depth : int array;  (** per gate: BFS distance from the sources, max_int off-cone *)
+  by_depth : Netlist.gate array;  (** cone gates, stably sorted by depth *)
+  buckets : int array array;
+      (** per logic level: active gates scheduled in this validation *)
+  bucket_len : int array;
+  scheduled : int array;  (** per gate: stamp of the validation that queued it *)
+  mutable lo_level : int;  (** lowest and highest non-empty bucket *)
+  mutable hi_level : int;
+  pinned : int array;  (** per wire: the v0/v1 a literal pins it to, or -1 *)
+  mutable pinned_wires : int array;  (** the pinned wires, in [0, n_pinned) *)
+  mutable n_pinned : int;
+  mutable next_pinned : int array;  (** scratch: the next validation's pins *)
+  wanted : int array;  (** per wire: stamp of the validation whose literals name it *)
+  want_value : int array;  (** per wanted wire: the value its literal asks for *)
   mutable stamp : int;
-  mutable touched : Netlist.wire list;  (** wires differing from baseline *)
 }
 
 let gate_value ev (g : Netlist.gate) =
@@ -139,7 +145,7 @@ let gate_value ev (g : Netlist.gate) =
   for pin = 0 to Array.length ins - 1 do
     packed := !packed lor (Char.code (Bytes.get ev.values ins.(pin)) lsl (2 * pin))
   done;
-  (cache_row g.Netlist.cell).(!packed)
+  ev.gate_rows.(g.Netlist.gate_id).(!packed)
 
 let make_cone_eval (nl : Netlist.t) (cone : Cone.t) sources =
   let nw = Netlist.n_wires nl in
@@ -168,170 +174,228 @@ let make_cone_eval (nl : Netlist.t) (cone : Cone.t) sources =
         | Netlist.Driver_input | Netlist.Driver_flop _ -> ()
       end
   done;
-  let topo_pos = Array.make (Netlist.n_gates nl) 0 in
-  Array.iteri (fun pos gid -> topo_pos.(gid) <- pos) nl.Netlist.topo;
-  (* Baseline: everything U, then constants propagated through support. *)
+  (* Active gates: the support logic and the cone, which are disjoint
+     (a support wire in the cone would put its border wire in the cone).
+     One bucket per logic level, sized for every active gate there. *)
+  let active =
+    Array.map (fun (g : Netlist.gate) -> in_support.(g.Netlist.output)) nl.Netlist.gates
+  in
+  Array.iter (fun (g : Netlist.gate) -> active.(g.Netlist.gate_id) <- true) cone_gates;
+  let n_levels = 1 + Array.fold_left max 0 nl.Netlist.level in
+  let per_level = Array.make n_levels 0 in
+  Array.iteri
+    (fun gid is_active ->
+      if is_active then begin
+        let l = nl.Netlist.level.(gid) in
+        per_level.(l) <- per_level.(l) + 1
+      end)
+    active;
+  (* BFS distances of cone gates from the sources. *)
+  let gate_depth = Array.make (Netlist.n_gates nl) max_int in
+  let seen_wire = Array.make nw false in
+  let frontier = Queue.create () in
+  List.iter
+    (fun source ->
+      Queue.add (source, 0) frontier;
+      seen_wire.(source) <- true)
+    sources;
+  while not (Queue.is_empty frontier) do
+    let w, d = Queue.pop frontier in
+    Array.iter
+      (fun gid ->
+        if gate_depth.(gid) = max_int then begin
+          gate_depth.(gid) <- d + 1;
+          let out = nl.Netlist.gates.(gid).Netlist.output in
+          if not seen_wire.(out) then begin
+            seen_wire.(out) <- true;
+            Queue.add (out, d + 1) frontier
+          end
+        end)
+      nl.Netlist.readers.(w)
+  done;
+  let by_depth = Array.copy cone_gates in
+  Array.stable_sort
+    (fun (a : Netlist.gate) (b : Netlist.gate) ->
+      compare gate_depth.(a.Netlist.gate_id) gate_depth.(b.Netlist.gate_id))
+    by_depth;
+  let role = Bytes.make nw '\000' in
+  Array.iter (fun (g : Netlist.gate) -> Bytes.set role g.Netlist.output '\001') cone_gates;
+  Array.iter (fun i -> Bytes.set role cone_gates.(i).Netlist.output '\002') sink_index;
   let values = Bytes.make nw (Char.chr vu) in
   let ev =
     {
       nl;
       values;
       baseline = Bytes.make nw (Char.chr vu);
-      rows = Array.map (fun (g : Netlist.gate) -> cache_row g.Netlist.cell) cone_gates;
       cone_gates;
       sink_index;
+      role;
+      faulty_gates = 0;
+      faulty_sinks = 0;
       border_wires = Array.of_list cone.Cone.border;
       in_cone = Array.copy cone.Cone.in_cone;
-      in_support;
-      topo_pos;
-      sources;
-      gate_depth = Hashtbl.create 64;
-      downstream = Hashtbl.create 64;
-      gate_stamp = Array.make (Netlist.n_gates nl) 0;
-      pin_stamp = Array.make nw 0;
+      active;
+      gate_rows =
+        Array.map (fun (g : Netlist.gate) -> eval_rows.(g.Netlist.cell.Cell.index)) nl.Netlist.gates;
+      gate_depth;
+      by_depth;
+      buckets = Array.map (fun n -> Array.make n 0) per_level;
+      bucket_len = Array.make n_levels 0;
+      scheduled = Array.make (Netlist.n_gates nl) 0;
+      lo_level = max_int;
+      hi_level = -1;
+      pinned = Array.make nw (-1);
+      pinned_wires = Array.make nw 0;
+      n_pinned = 0;
+      next_pinned = Array.make nw 0;
+      wanted = Array.make nw 0;
+      want_value = Array.make nw 0;
       stamp = 0;
-      touched = [];
     }
   in
+  (* Baseline: everything U, constants propagated through the support,
+     the sources F and the cone evaluated over that. *)
   Array.iter
     (fun gid ->
       let g = nl.Netlist.gates.(gid) in
       if in_support.(g.Netlist.output) then Bytes.set values g.Netlist.output (Char.chr (gate_value ev g)))
     nl.Netlist.topo;
+  List.iter (fun source -> Bytes.set values source (Char.chr vf)) sources;
+  Array.iter
+    (fun (g : Netlist.gate) -> Bytes.set values g.Netlist.output (Char.chr (gate_value ev g)))
+    cone_gates;
   Bytes.blit values 0 ev.baseline 0 nw;
-  (* BFS distances of cone gates from the sources. *)
-  let seen_wire = Hashtbl.create 64 in
-  let frontier = Queue.create () in
-  List.iter
-    (fun source ->
-      Queue.add (source, 0) frontier;
-      Hashtbl.replace seen_wire source ())
-    sources;
-  while not (Queue.is_empty frontier) do
-    let w, d = Queue.pop frontier in
-    Array.iter
-      (fun gid ->
-        if not (Hashtbl.mem ev.gate_depth gid) then begin
-          Hashtbl.replace ev.gate_depth gid (d + 1);
-          let out = nl.Netlist.gates.(gid).Netlist.output in
-          if not (Hashtbl.mem seen_wire out) then begin
-            Hashtbl.replace seen_wire out ();
-            Queue.add (out, d + 1) frontier
-          end
-        end)
-      nl.Netlist.readers.(w)
-  done;
+  Array.iter
+    (fun (g : Netlist.gate) ->
+      let out = g.Netlist.output in
+      if Char.code (Bytes.get values out) = vf then begin
+        ev.faulty_gates <- ev.faulty_gates + 1;
+        if Bytes.get role out = '\002' then ev.faulty_sinks <- ev.faulty_sinks + 1
+      end)
+    cone_gates;
   ev
 
 let value ev w = Char.code (Bytes.get ev.values w)
 let set_value ev w v = Bytes.set ev.values w (Char.chr v)
 let border_wires_of ev = ev.border_wires
 
-(* Support gates downstream of a wire, topologically sorted; memoized per
-   cone_eval because candidate literals recur on the same wires. *)
-let downstream_gates ev w =
-  match Hashtbl.find_opt ev.downstream w with
-  | Some gates -> gates
-  | None ->
-    let seen = Hashtbl.create 32 in
-    let rec mark w =
-      Array.iter
-        (fun gid ->
-          let out = ev.nl.Netlist.gates.(gid).Netlist.output in
-          if ev.in_support.(out) && not (Hashtbl.mem seen gid) then begin
-            Hashtbl.replace seen gid ();
-            mark out
-          end)
-        ev.nl.Netlist.readers.(w)
-    in
-    mark w;
-    let gates = Hashtbl.fold (fun gid () acc -> gid :: acc) seen [] in
-    let gates = List.sort (fun a b -> compare ev.topo_pos.(a) ev.topo_pos.(b)) gates in
-    Hashtbl.replace ev.downstream w gates;
-    gates
+let schedule ev gid =
+  if ev.scheduled.(gid) <> ev.stamp then begin
+    ev.scheduled.(gid) <- ev.stamp;
+    let l = ev.nl.Netlist.level.(gid) in
+    ev.buckets.(l).(ev.bucket_len.(l)) <- gid;
+    ev.bucket_len.(l) <- ev.bucket_len.(l) + 1;
+    if l < ev.lo_level then ev.lo_level <- l;
+    if l > ev.hi_level then ev.hi_level <- l
+  end
 
-(* Candidate evaluation: reset to baseline, apply literals, constant-
-   propagate them through the support logic, then evaluate the cone with
-   the source marked possibly-faulty. True iff no sink is possibly
-   faulty. *)
-let validate ev literals =
-  List.iter (fun w -> Bytes.set ev.values w (Bytes.get ev.baseline w)) ev.touched;
-  ev.touched <- [];
-  let touch w = ev.touched <- w :: ev.touched in
+(* Queue the active gates reading [w], each at most once per validation,
+   in the bucket of its logic level. *)
+let schedule_readers ev w =
+  let readers = ev.nl.Netlist.readers.(w) in
+  for i = 0 to Array.length readers - 1 do
+    let gid = readers.(i) in
+    if ev.active.(gid) then schedule ev gid
+  done
+
+(* Set a wire's value during propagation, keeping the F counts of the
+   cone outputs current. *)
+let change ev w v =
+  let old = value ev w in
+  if v <> old then begin
+    (match Bytes.get ev.role w with
+    | '\000' -> ()
+    | role ->
+      let delta = if v = vf then 1 else if old = vf then -1 else 0 in
+      ev.faulty_gates <- ev.faulty_gates + delta;
+      if role = '\002' then ev.faulty_sinks <- ev.faulty_sinks + delta);
+    set_value ev w v;
+    schedule_readers ev w
+  end
+
+(* Candidate evaluation: literals pin their (border) wires, constants
+   propagate through the support logic and on through the cone, whose
+   sources are possibly-faulty. True iff no sink is possibly faulty.
+
+   Every value is a pure function of the literal set: pinned wires hold
+   their literal, every other active gate output is its gate applied to
+   its inputs (a support gate never overwrites a pinned wire; a
+   contradictory candidate simply never triggers at run time), and every
+   other wire holds its baseline value. A validation moves the state
+   from the previous literal set to this one incrementally. Wires whose
+   pin changed are updated (an unpinned gate output by re-evaluating its
+   driver), a gate whose value changes queues its active readers, and
+   the buckets are drained in increasing logic level. So every gate is
+   evaluated at most once, after all of its inputs are final, and the
+   result equals a full topological re-evaluation from the baseline.
+   [iter_literals f] applies [f] to each literal of the candidate. *)
+let validate_iter ev iter_literals =
   ev.stamp <- ev.stamp + 1;
   let stamp = ev.stamp in
-  List.iter
-    (fun (l : Term.literal) ->
-      set_value ev l.Term.wire (if l.Term.value then v1 else v0);
-      ev.pin_stamp.(l.Term.wire) <- stamp;
-      touch l.Term.wire)
-    literals;
-  let dirty =
-    List.concat_map (fun (l : Term.literal) -> downstream_gates ev l.Term.wire) literals
-    |> List.filter (fun gid ->
-           if ev.gate_stamp.(gid) = stamp then false
-           else begin
-             ev.gate_stamp.(gid) <- stamp;
-             true
-           end)
-    |> List.sort (fun a b -> compare ev.topo_pos.(a) ev.topo_pos.(b))
-  in
-  List.iter
-    (fun gid ->
-      let g = ev.nl.Netlist.gates.(gid) in
-      (* A literal pins its wire: a support gate driving it must not
-         overwrite the constraint (contradictory candidates simply never
-         trigger at run time). *)
-      if ev.pin_stamp.(g.Netlist.output) <> stamp then begin
-        let v = gate_value ev g in
-        if v <> value ev g.Netlist.output then begin
-          set_value ev g.Netlist.output v;
-          touch g.Netlist.output
-        end
-      end)
-    dirty;
-  (* Cone evaluation. *)
-  List.iter
-    (fun source ->
-      set_value ev source vf;
-      touch source)
-    ev.sources;
-  let n = Array.length ev.cone_gates in
-  for i = 0 to n - 1 do
-    let g = ev.cone_gates.(i) in
-    let packed = ref 0 in
-    let ins = g.Netlist.inputs in
-    for pin = 0 to Array.length ins - 1 do
-      packed := !packed lor (Char.code (Bytes.get ev.values ins.(pin)) lsl (2 * pin))
-    done;
-    let v = ev.rows.(i).(!packed) in
-    if v <> value ev g.Netlist.output then begin
-      set_value ev g.Netlist.output v;
-      touch g.Netlist.output
+  let n_next = ref 0 in
+  iter_literals (fun (l : Term.literal) ->
+      let w = l.Term.wire in
+      if ev.wanted.(w) <> stamp then begin
+        ev.wanted.(w) <- stamp;
+        ev.next_pinned.(!n_next) <- w;
+        incr n_next
+      end;
+      (* The last literal on a wire wins. *)
+      ev.want_value.(w) <- (if l.Term.value then v1 else v0));
+  for i = 0 to ev.n_pinned - 1 do
+    let w = ev.pinned_wires.(i) in
+    if ev.wanted.(w) <> stamp then begin
+      ev.pinned.(w) <- -1;
+      match ev.nl.Netlist.driver.(w) with
+      | Netlist.Driver_gate gid when ev.active.(gid) -> schedule ev gid
+      | Netlist.Driver_gate _ | Netlist.Driver_input | Netlist.Driver_flop _ ->
+        change ev w (Char.code (Bytes.get ev.baseline w))
     end
   done;
-  Array.for_all (fun i -> value ev ev.cone_gates.(i).Netlist.output <> vf) ev.sink_index
+  let next = ev.next_pinned in
+  for i = 0 to !n_next - 1 do
+    let w = next.(i) in
+    let v = ev.want_value.(w) in
+    ev.pinned.(w) <- v;
+    change ev w v
+  done;
+  ev.next_pinned <- ev.pinned_wires;
+  ev.pinned_wires <- next;
+  ev.n_pinned <- !n_next;
+  let gates = ev.nl.Netlist.gates in
+  let level = ref ev.lo_level in
+  (* Gates only queue readers at higher levels, so a bucket is final by
+     the time the sweep reaches it. *)
+  while !level <= ev.hi_level do
+    let bucket = ev.buckets.(!level) in
+    for i = 0 to ev.bucket_len.(!level) - 1 do
+      let g = gates.(bucket.(i)) in
+      let out = g.Netlist.output in
+      if ev.pinned.(out) < 0 then change ev out (gate_value ev g)
+    done;
+    ev.bucket_len.(!level) <- 0;
+    incr level
+  done;
+  ev.lo_level <- max_int;
+  ev.hi_level <- -1;
+  ev.faulty_sinks = 0
 
-let fault_extent ev =
-  let sinks = ref 0 and gates = ref 0 in
-  Array.iter
-    (fun (g : Netlist.gate) -> if value ev g.Netlist.output = vf then incr gates)
-    ev.cone_gates;
-  Array.iter
-    (fun i -> if value ev ev.cone_gates.(i).Netlist.output = vf then incr sinks)
-    ev.sink_index;
-  (!sinks * 10_000) + !gates
+let validate ev literals = validate_iter ev (fun f -> List.iter f literals)
+
+let fault_extent ev = (ev.faulty_sinks * 10_000) + ev.faulty_gates
 
 (* The gate-masking terms available against the gate's currently-faulty
    pins, instantiated to wires. Terms may only constrain non-cone wires;
    literals already satisfied by the current evaluation are dropped, and
    terms contradicting a known support constant are unusable. *)
 let dynamic_gate_terms ev (g : Netlist.gate) =
-  let dyn_faulty = ref [] in
-  Array.iteri (fun pin w -> if value ev w = vf then dyn_faulty := pin :: !dyn_faulty) g.Netlist.inputs;
-  match !dyn_faulty with
-  | [] -> []
-  | faulty ->
+  let fmask = ref 0 in
+  Array.iteri
+    (fun pin w -> if value ev w = vf then fmask := !fmask lor (1 lsl pin))
+    g.Netlist.inputs;
+  match !fmask with
+  | 0 -> []
+  | fmask ->
     let usable (term : Gm.term) =
       let rec go acc = function
         | [] -> Term.of_literals acc
@@ -348,21 +412,30 @@ let dynamic_gate_terms ev (g : Netlist.gate) =
       in
       go [] term
     in
-    List.filter_map usable (Gm.memoized_masking_terms g.Netlist.cell ~faulty)
+    List.filter_map usable (Gm.masking_terms_of_mask g.Netlist.cell fmask)
 
 (* Extension options for the current evaluation: blockable gates on the
    fault frontier within the BFS depth, nearest first. *)
 let dynamic_options ev params =
-  let with_depth =
-    Array.to_list ev.cone_gates
-    |> List.filter_map (fun (g : Netlist.gate) ->
-           match Hashtbl.find_opt ev.gate_depth g.Netlist.gate_id with
-           | Some d when d <= params.depth && value ev g.Netlist.output = vf -> Some (d, g)
-           | _ -> None)
-  in
-  List.stable_sort (fun (d1, _) (d2, _) -> compare d1 d2) with_depth
-  |> List.concat_map (fun (_, g) -> List.map (fun t -> (g, t)) (dynamic_gate_terms ev g))
-  |> List.filteri (fun i _ -> i < params.max_options)
+  let options = ref [] and n = ref 0 and i = ref 0 in
+  let gates = ev.by_depth in
+  while
+    !n < params.max_options
+    && !i < Array.length gates
+    && ev.gate_depth.(gates.(!i).Netlist.gate_id) <= params.depth
+  do
+    let g = gates.(!i) in
+    if value ev g.Netlist.output = vf then
+      List.iter
+        (fun t ->
+          if !n < params.max_options then begin
+            options := (g, t) :: !options;
+            incr n
+          end)
+        (dynamic_gate_terms ev g);
+    incr i
+  done;
+  List.rev !options
 
 (* Optimistic reachability: evaluate the cone assuming every blockable
    gate within reach is blocked (output U). If a sink is still possibly
@@ -371,46 +444,44 @@ let dynamic_options ev params =
    value-aware. *)
 let optimistic_escape ev params =
   ignore (validate ev []);
-  List.iter (fun w -> Bytes.set ev.values w (Bytes.get ev.baseline w)) ev.touched;
-  ev.touched <- [];
-  List.iter
-    (fun source ->
-      set_value ev source vf;
-      ev.touched <- source :: ev.touched)
-    ev.sources;
   Array.iter
     (fun (g : Netlist.gate) ->
       let v = gate_value ev g in
       let v =
-        if v = vf then begin
-          let within_depth =
-            match Hashtbl.find_opt ev.gate_depth g.Netlist.gate_id with
-            | Some d -> d <= params.depth
-            | None -> false
-          in
-          if within_depth && dynamic_gate_terms ev g <> [] then vu else vf
-        end
+        if
+          v = vf
+          && ev.gate_depth.(g.Netlist.gate_id) <= params.depth
+          && dynamic_gate_terms ev g <> []
+        then vu
         else v
       in
-      set_value ev g.Netlist.output v;
-      ev.touched <- g.Netlist.output :: ev.touched)
+      set_value ev g.Netlist.output v)
     ev.cone_gates;
   let escaped =
     Array.exists (fun i -> value ev ev.cone_gates.(i).Netlist.output = vf) ev.sink_index
   in
+  (* Back to the evaluation of the empty literal set, the baseline. *)
+  Array.iter
+    (fun (g : Netlist.gate) ->
+      let out = g.Netlist.output in
+      Bytes.set ev.values out (Bytes.get ev.baseline out))
+    ev.cone_gates;
   escaped
 
 (* Greedy literal minimization: drop literals (in the given order) whose
    removal keeps the candidate valid, producing MATEs that trigger as
    often as possible. *)
 let minimize_literals ev literals =
-  let rec go kept = function
-    | [] -> kept
-    | (l : Term.literal) :: rest ->
-      let without = kept @ rest in
-      if validate ev without then go kept rest else go (kept @ [ l ]) rest
-  in
-  go [] literals
+  let lits = Array.of_list literals in
+  let kept = Array.make (Array.length lits) true in
+  (* Literal [i] goes if the kept literals before it and all literals
+     after it still validate. *)
+  Array.iteri
+    (fun i _ ->
+      let without f = Array.iteri (fun j l -> if j <> i && kept.(j) then f l) lits in
+      if validate_iter ev without then kept.(i) <- false)
+    lits;
+  List.filteri (fun i _ -> kept.(i)) literals
 
 let minimize_term ev term =
   match
@@ -435,12 +506,7 @@ let seeded_mates ev params trace found tried =
     let cycles = Trace.n_cycles trace in
     (* Distance of each border wire: nearest cone gate reading it. *)
     let depth_of w =
-      Array.fold_left
-        (fun acc gid ->
-          match Hashtbl.find_opt ev.gate_depth gid with
-          | Some d -> min acc d
-          | None -> acc)
-        max_int ev.nl.Netlist.readers.(w)
+      Array.fold_left (fun acc gid -> min acc ev.gate_depth.(gid)) max_int ev.nl.Netlist.readers.(w)
     in
     let tagged = Array.map (fun w -> (w, depth_of w)) borders in
     (* Near borders (selects, enables, decode) define the situation; far
@@ -514,6 +580,8 @@ let seeded_mates ev params trace found tried =
 
 (* ------------------------------------------------------------------ *)
 
+module Term_tbl = Hashtbl.Make (Term)
+
 let search_sources ?(traces = []) nl params wires =
   let wire =
     match wires with
@@ -533,7 +601,7 @@ let search_sources ?(traces = []) nl params wires =
     else begin
       let tried = ref 0 in
       let found : (Term.t, unit) Hashtbl.t = Hashtbl.create 32 in
-      let attempted : (Term.t, unit) Hashtbl.t = Hashtbl.create 512 in
+      let attempted = Term_tbl.create 512 in
       ignore (validate ev []);
       let n_options = List.length (dynamic_options ev params) in
       (* Beam search, guided by how far each extension shrinks the fault
@@ -548,8 +616,8 @@ let search_sources ?(traces = []) nl params wires =
                 match Term.conjoin literals term with
                 | None -> ()
                 | Some conj ->
-                  if (not (Term.equal conj literals)) && not (Hashtbl.mem attempted conj) then begin
-                    Hashtbl.replace attempted conj ();
+                  if (not (Term.equal conj literals)) && not (Term_tbl.mem attempted conj) then begin
+                    Term_tbl.replace attempted conj ();
                     incr tried;
                     if validate ev (Term.literals conj) then Hashtbl.replace found conj ()
                     else begin
@@ -618,27 +686,41 @@ let search_wire ?traces nl params wire = search_sources ?traces nl params [ wire
 let search_pair ?traces nl params w1 w2 = search_sources ?traces nl params [ w1; w2 ]
 
 let timed_search_wire ?traces nl params wire =
-  let start = Unix.gettimeofday () in
+  let start = Mono.now () in
   let result = search_wire ?traces nl params wire in
-  { result with time_s = Unix.gettimeofday () -. start }
+  { result with time_s = Mono.now () -. start }
 
-let search_flops ?(params = default_params) ?traces nl flops =
-  let start = Unix.gettimeofday () in
-  let flop_results =
-    List.map
-      (fun (f : Netlist.flop) ->
-        { flop = f; result = timed_search_wire ?traces nl params f.Netlist.q })
-      flops
+let sum_times flop_results =
+  List.fold_left (fun acc fr -> acc +. fr.result.time_s) 0. flop_results
+
+(* Per-wire searches share nothing mutable, so [jobs] domains pull wire
+   indices from one atomic counter and each result lands in its wire's
+   slot: the report lists the flops in input order whatever the domain
+   count or scheduling. *)
+let search_flops ?(params = default_params) ?traces ?(jobs = Domain.recommended_domain_count ())
+    nl flops =
+  let flops = Array.of_list flops in
+  let n = Array.length flops in
+  let slots = Array.make n None in
+  let next = Atomic.make 0 in
+  let rec work () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      let f = flops.(i) in
+      slots.(i) <- Some { flop = f; result = timed_search_wire ?traces nl params f.Netlist.q };
+      work ()
+    end
   in
-  { params; flop_results; runtime_s = Unix.gettimeofday () -. start }
+  let helpers = List.init (max 0 (min jobs n - 1)) (fun _ -> Domain.spawn work) in
+  let mine = try Ok (work ()) with e -> Error e in
+  let joined = List.map (fun d -> try Ok (Domain.join d) with e -> Error e) helpers in
+  List.iter (function Error e -> raise e | Ok () -> ()) (mine :: joined);
+  let flop_results = Array.to_list (Array.map Option.get slots) in
+  { params; flop_results; runtime_s = sum_times flop_results }
 
 let restrict report keep =
   let flop_results = List.filter (fun fr -> keep fr.flop) report.flop_results in
-  {
-    report with
-    flop_results;
-    runtime_s = List.fold_left (fun acc fr -> acc +. fr.result.time_s) 0. flop_results;
-  }
+  { report with flop_results; runtime_s = sum_times flop_results }
 
 let n_faulty_wires report = List.length report.flop_results
 

@@ -63,7 +63,7 @@ type wire_result = {
   n_options : int;  (** (gate, GM-term) pairs collected *)
   candidates_tried : int;
   outcome : outcome;
-  time_s : float;  (** wall time spent on this wire *)
+  time_s : float;  (** monotonic wall time spent on this wire *)
 }
 
 val search_wire :
@@ -90,6 +90,10 @@ type report = {
   params : params;
   flop_results : flop_result list;
   runtime_s : float;
+      (** search time: the sum of the per-wire [time_s] over
+          [flop_results]. It does not depend on how many domains ran the
+          search (the elapsed wall time does), and it stays meaningful for
+          a {!restrict}ed report. *)
 }
 
 val search_pair :
@@ -107,15 +111,19 @@ val search_pair :
 val search_flops :
   ?params:params ->
   ?traces:Pruning_sim.Trace.t list ->
+  ?jobs:int ->
   Pruning_netlist.Netlist.t ->
   Pruning_netlist.Netlist.flop list ->
   report
 (** Search the Q output of every given flop (the paper's faulty-wire sets
-    "FF" and "FF w/o RF"). *)
+    "FF" and "FF w/o RF"). The per-wire searches run on [jobs] domains
+    (default [Domain.recommended_domain_count ()]); [flop_results] is in
+    the order of the given flops and, apart from the timings, identical
+    for every [jobs]. *)
 
 val restrict : report -> (Pruning_netlist.Netlist.flop -> bool) -> report
 (** Down-select a report to a flop subset (per-wire results are
-    independent); the runtime becomes the sum of the kept wires' times. *)
+    independent); [runtime_s] becomes the sum of the kept wires' times. *)
 
 (** Aggregates for Table 1. *)
 

@@ -35,3 +35,7 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 val to_string : Pruning_netlist.Netlist.t -> t -> string
 (** e.g. ["(!f & h)"] with netlist wire names. *)
+
+val hash : t -> int
+(** A hash over every literal, consistent with {!equal} (the generic
+    [Hashtbl.hash] only looks at a term's first few literals). *)

@@ -185,7 +185,29 @@ let test_gm_memoized () =
   let a = Gm.memoized_masking_terms cell ~faulty:[ 2 ] in
   let b = Gm.memoized_masking_terms cell ~faulty:[ 2 ] in
   check_bool "memoized results equal" true (a == b);
-  check_bool "matches direct" true (sort_terms a = sort_terms (Gm.masking_terms cell ~faulty:[ 2 ]))
+  check_bool "matches direct" true (sort_terms a = sort_terms (Gm.masking_terms cell ~faulty:[ 2 ]));
+  (* The precomputed table covers every cell and every non-empty faulty
+     subset, whatever order the pins are listed in, and agrees with the
+     direct computation term for term. *)
+  List.iter
+    (fun (cell : Cell.t) ->
+      check_bool (cell.Cell.name ^ " index") true (List.nth Cell.all cell.Cell.index == cell);
+      for fmask = 1 to (1 lsl cell.Cell.arity) - 1 do
+        let faulty =
+          List.filter (fun pin -> fmask land (1 lsl pin) <> 0) (List.init cell.Cell.arity Fun.id)
+        in
+        let label = Printf.sprintf "%s faulty=%d" cell.Cell.name fmask in
+        let table = Gm.memoized_masking_terms cell ~faulty in
+        check_bool (label ^ " = masking_terms") true (table = Gm.masking_terms cell ~faulty);
+        check_bool (label ^ " same list") true
+          (table == Gm.memoized_masking_terms cell ~faulty:(List.rev faulty));
+        check_bool (label ^ " by mask") true (table == Gm.masking_terms_of_mask cell fmask)
+      done)
+    Cell.all;
+  Alcotest.check_raises "empty mask" (Invalid_argument "Gm: faulty mask 0 outside MUX2_X1")
+    (fun () -> ignore (Gm.masking_terms_of_mask cell 0));
+  Alcotest.check_raises "duplicate pin" (Invalid_argument "Gm: duplicate faulty pin") (fun () ->
+      ignore (Gm.memoized_masking_terms cell ~faulty:[ 1; 1 ]))
 
 let test_term_to_string () =
   let cell = Cell.of_kind Cell.MUX2 in
