@@ -201,8 +201,8 @@ let run_campaign () =
    delta engines. The headline number: injections/second.
 
    Every engine's run is split into a setup phase (campaign creation —
-   the golden run with its checkpoints — plus, where it can be forced
-   up front, golden-trace recording and worker construction) and the
+   the golden run with its checkpoints and trace — plus, where it can be
+   forced up front, worker construction) and the
    injection phase proper; both halves land in BENCH_campaign.json,
    together with per-engine GC allocation (minor/major words) measured
    around the injection phase. *)
@@ -276,24 +276,20 @@ let run_perf () =
         c)
       ~inject:(fun c -> Campaign.run_sample_batched c ~space ~rng:(rng ()) ~n:samples ())
   in
-  (* Activity-gated delta engine: the golden-trace recording is forced
-     into the setup phase; the (cheap) delta worker build remains in the
+  (* Activity-gated delta engine: the golden trace is recorded by
+     [Campaign.create]; the (cheap) delta worker build remains in the
      first injection. *)
   let dstats, dsu, dt, dmin, dmaj =
     measure
-      ~setup:(fun () ->
-        let c = Campaign.create ~make ~make_delta ~total_cycles:horizon () in
-        ignore (Campaign.golden_trace c);
-        c)
+      ~setup:(fun () -> Campaign.create ~make ~make_delta ~total_cycles:horizon ())
       ~inject:(fun c -> Campaign.run_sample_delta c ~space ~rng:(rng ()) ~n:samples ())
   in
-  (* Batched delta engine: golden recording and worker construction both
-     forced into the setup phase (an empty pack builds the worker). *)
+  (* Batched delta engine: worker construction forced into the setup
+     phase (an empty pack builds the worker). *)
   let dbstats, dbsu, dbt, dbmin, dbmaj =
     measure
       ~setup:(fun () ->
         let c = Campaign.create ~make ~make_delta_batch ~total_cycles:horizon () in
-        ignore (Campaign.golden_trace c);
         ignore (Campaign.inject_delta_batch c ~faults:[||] ());
         c)
       ~inject:(fun c -> Campaign.run_sample_delta_batched c ~space ~rng:(rng ()) ~n:samples ())
@@ -348,9 +344,9 @@ let run_perf () =
     (rate dbstats dbt);
   Printf.printf "(multi-domain wall clock scales with physical cores; this host has %d)\n"
     (Domain.recommended_domain_count ());
-  (* Fault-model dimension: scalar vs delta rates per model at a reduced
-     sample count (multi-flop / multi-cycle faults cost more per sample,
-     and the wide engines fall back to these two anyway). *)
+  (* Fault-model dimension: scalar, delta and delta-lane rates per model
+     at a reduced sample count (multi-flop / multi-cycle faults cost more
+     per sample; the bit-parallel engine falls back to scalar for them). *)
   let model_samples = max 10 (samples / 10) in
   let models = [ Fault_model.Seu; Fault_model.Set; Fault_model.Mbu 2; Fault_model.Intermittent 3 ] in
   let model_rows =
@@ -365,25 +361,35 @@ let run_perf () =
         in
         let mstats, _, mt, _, _ =
           measure
-            ~setup:(fun () ->
-              let c = Campaign.create ~make ~make_delta ~total_cycles:horizon () in
-              ignore (Campaign.golden_trace c);
-              c)
+            ~setup:(fun () -> Campaign.create ~make ~make_delta ~total_cycles:horizon ())
             ~inject:(fun c ->
               Campaign.run_sample_delta c ~space:mspace ~rng:(rng ()) ~n:model_samples ())
         in
-        (Fault_model.name model, sstats, st, mstats, mt))
+        let lstats, _, lt, _, _ =
+          measure
+            ~setup:(fun () ->
+              let c = Campaign.create ~make ~make_delta_batch ~total_cycles:horizon () in
+              ignore (Campaign.inject_delta_batch c ~faults:[||] ());
+              c)
+            ~inject:(fun c ->
+              Campaign.run_sample_delta_batched c ~space:mspace ~rng:(rng ()) ~n:model_samples ())
+        in
+        assert (sstats = mstats && sstats = lstats);
+        (Fault_model.name model, sstats, st, mstats, mt, lt))
       models
   in
-  let mt_table = Table.create [ "model"; "injections"; "scalar inj/s"; "delta inj/s" ] in
+  let mt_table =
+    Table.create [ "model"; "injections"; "scalar inj/s"; "delta inj/s"; "delta-batched inj/s" ]
+  in
   List.iter
-    (fun (name, (sstats : Campaign.stats), st, mstats, mt) ->
+    (fun (name, (sstats : Campaign.stats), st, mstats, mt, lt) ->
       Table.add_row mt_table
         [
           name;
           string_of_int sstats.Campaign.injections;
           Printf.sprintf "%.1f" (rate sstats st);
           Printf.sprintf "%.1f" (rate mstats mt);
+          Printf.sprintf "%.1f" (rate mstats lt);
         ])
     model_rows;
   Printf.printf "\nfault-model dimension (%d samples each):\n" model_samples;
@@ -494,12 +500,13 @@ let run_perf () =
     rows;
   Printf.fprintf oc "  ],\n  \"fault_models\": [\n";
   List.iteri
-    (fun i (name, (sstats : Campaign.stats), st, (mstats : Campaign.stats), mt) ->
+    (fun i (name, (sstats : Campaign.stats), st, (mstats : Campaign.stats), mt, lt) ->
       Printf.fprintf oc
         "    { \"model\": %S, \"samples\": %d, \"scalar_injections\": %d, \
-         \"scalar_inj_per_s\": %.1f, \"delta_injections\": %d, \"delta_inj_per_s\": %.1f }%s\n"
+         \"scalar_inj_per_s\": %.1f, \"delta_injections\": %d, \"delta_inj_per_s\": %.1f, \
+         \"delta_batched_inj_per_s\": %.1f }%s\n"
         name model_samples sstats.Campaign.injections (rate sstats st) mstats.Campaign.injections
-        (rate mstats mt)
+        (rate mstats mt) (rate mstats lt)
         (if i = List.length model_rows - 1 then "" else ","))
     model_rows;
   Printf.fprintf oc "  ],\n";

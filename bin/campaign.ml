@@ -98,19 +98,12 @@ let resolve_model spec =
   | Ok m -> Ok m
   | Error msg -> Error (Option.get (fail exit_bad_model "%s" msg))
 
-(* Only the per-fault kernels understand multi-flop/multi-cycle faults;
-   the bit-parallel ones are one-flip-per-lane by construction. The
-   fallback is explicit (printed) and deterministic, so a resumed or
-   distributed campaign re-derives the identical kernel. *)
-let effective_kernel ~model ~kernel =
-  match (model, kernel) with
-  | Fault_model.Seu, k -> k
-  | _, Fi_campaign.Batched -> Fi_campaign.Scalar
-  | _, Fi_campaign.Delta_batched -> Fi_campaign.Delta
-  | _, k -> k
-
+(* The bit-parallel kernel is one-flip-per-lane by construction, so
+   non-SEU models run it on the scalar reference ([Campaign.effective_kernel]).
+   The remap is printed and deterministic, so a resumed or distributed
+   campaign re-derives the identical kernel. *)
 let note_kernel_fallback ~model ~kernel =
-  let k = effective_kernel ~model ~kernel in
+  let k = Fi_campaign.effective_kernel ~model kernel in
   if k <> kernel then
     Printf.printf "(--fault-model %s has no bit-parallel kernel; falling back to --engine %s)\n%!"
       (Fault_model.name model) (Fi_campaign.kernel_name k);
@@ -1113,9 +1106,9 @@ let fault_model_arg =
            (multi-bit upset: $(i,K) layout-adjacent flops flipped together in one cycle) or \
            $(b,intermittent:N) (intermittent stuck-at: one flop held at the flipped value for \
            $(i,N) consecutive cycles; $(b,intermittent:1) is exactly $(b,seu)). The model is \
-           pinned in the journal header and on every distributed chunk; scalar and delta \
-           engines support every model bit-identically, the bit-parallel engines fall back \
-           (printed) for non-SEU models.")
+           pinned in the journal header and on every distributed chunk; the scalar, delta and \
+           delta-batched engines support every model bit-identically, $(b,--engine batched) \
+           falls back to scalar (printed) for non-SEU models.")
 
 let journal =
   Arg.(

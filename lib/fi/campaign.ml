@@ -35,6 +35,15 @@ let kernel_of_string = function
   | "delta-batched" -> Some Delta_batched
   | _ -> None
 
+(* The bit-lane engine carries exactly one flop flip per lane, so
+   non-SEU models fall back to the scalar reference injector (the one
+   model -> kernel remap, shared by every runner). *)
+let effective_kernel ~model kernel =
+  match (model, kernel) with
+  | Fault_model.Seu, k -> k
+  | _, Batched -> Scalar
+  | _, k -> k
+
 (* A memo key is the exact architectural difference from the golden run at
    a checkpoint: (checkpoint index, differing flops with their faulty
    values, differing RAM cells with their faulty values), both in
@@ -65,14 +74,14 @@ type t = {
   mutable lane_worker : lane_worker option;  (* built lazily on first batched run *)
   mutable delta_worker : System.delta option;  (* built lazily on first delta run *)
   mutable delta_batch_worker : System.delta_batch option;  (* lazy, first batched-delta run *)
-  mutable golden_trace : Trace.t option;
-      (* the one golden recording shared by every delta-family worker:
-         recorded once per (core, program, horizon) and kept across
-         worker resets, durable shards and distributed chunk retries *)
+  golden_trace : Trace.t;
+      (* every wire of the golden run, recorded by [create]'s golden
+         loop: the scalar engine's per-cycle output reference and the
+         baseline every delta-family worker shares across worker
+         resets, durable shards and distributed chunk retries *)
   total_cycles : int;
   interval : int;  (* checkpoint spacing in cycles *)
   out_wires : int array;
-  golden_outputs : bool array array;  (** per cycle *)
   golden_flops : bool array;  (** at horizon *)
   golden_ram : int array;  (** at horizon *)
   cp_flops : bool array array;  (** golden flop state per checkpoint *)
@@ -89,8 +98,6 @@ let output_wires nl =
     (fun (p : Netlist.port) -> Array.to_list p.Netlist.port_wires)
     nl.Netlist.outputs
   |> Array.of_list
-
-let read_outputs sim out_wires = Array.map (fun w -> Sim.peek sim w) out_wires
 
 let read_flops sim nl =
   Array.map (fun (f : Netlist.flop) -> Sim.peek sim f.Netlist.q) nl.Netlist.flops
@@ -109,7 +116,7 @@ let create ?checkpoint_interval ?make_lanes ?make_delta ?make_delta_batch ~make 
   let sim = sys.System.sim in
   let nl = sys.System.netlist in
   let out_wires = output_wires nl in
-  let golden_outputs = Array.make total_cycles [||] in
+  let golden_trace = Trace.create ~n_wires:(Netlist.n_wires nl) in
   let cp_flops = Array.make n_cp [||] in
   let cp_ram = Array.make n_cp [||] in
   let restores = Array.make n_cp (fun () -> ()) in
@@ -121,7 +128,7 @@ let create ?checkpoint_interval ?make_lanes ?make_delta ?make_delta_batch ~make 
       restores.(i) <- System.save_state sys
     end;
     Sim.eval sim;
-    golden_outputs.(cycle) <- read_outputs sim out_wires;
+    Sim.record_row sim golden_trace;
     Sim.latch sim
   done;
   Sim.eval sim;
@@ -133,11 +140,10 @@ let create ?checkpoint_interval ?make_lanes ?make_delta ?make_delta_batch ~make 
     lane_worker = None;
     delta_worker = None;
     delta_batch_worker = None;
-    golden_trace = None;
+    golden_trace;
     total_cycles;
     interval;
     out_wires;
-    golden_outputs;
     golden_flops = read_flops sim nl;
     golden_ram = Array.copy sys.System.ram;
     cp_flops;
@@ -166,13 +172,16 @@ let fresh_worker t =
   done;
   { w_sys = sys; w_restores = restores }
 
+(* The golden outputs are read straight off the packed trace row. *)
 let outputs_match t sim cycle =
-  let golden = t.golden_outputs.(cycle) in
+  let golden = Trace.row_bytes t.golden_trace ~cycle in
   let n = Array.length t.out_wires in
   let ok = ref true in
   let i = ref 0 in
   while !ok && !i < n do
-    if Sim.peek sim t.out_wires.(!i) <> golden.(!i) then ok := false;
+    let w = t.out_wires.(!i) in
+    let g = Char.code (Bytes.unsafe_get golden (w lsr 3)) land (1 lsl (w land 7)) <> 0 in
+    if Sim.peek sim w <> g then ok := false;
     incr i
   done;
   !ok
@@ -312,21 +321,13 @@ let inject_with ?budget t w ~flop_id ~cycle =
 let inject t ~flop_id ~cycle = inject_with t t.primary ~flop_id ~cycle
 let primary_worker t = t.primary
 
-(* The golden baseline shared by the delta-family engines: one full
-   recorded run of the scalar system, cached for the campaign's
-   lifetime. The trace is immutable, so worker resets (crash recovery),
-   durable shards and distributed chunk re-execution all reuse the same
-   recording instead of re-simulating golden. Also consulted by the
-   scalar intermittent injector, which needs per-cycle golden flop
-   values to re-arm against. *)
-let golden_trace t =
-  match t.golden_trace with
-  | Some trace -> trace
-  | None ->
-    let sys = t.make () in
-    let trace = System.record sys ~cycles:t.total_cycles in
-    t.golden_trace <- Some trace;
-    trace
+(* The golden baseline shared by the delta-family engines, recorded
+   during [create]'s golden run. The trace is immutable, so worker
+   resets (crash recovery), durable shards and distributed chunk
+   re-execution all reuse it instead of re-simulating golden. Also
+   consulted by the scalar intermittent injector, which needs per-cycle
+   golden flop values to re-arm against. *)
+let golden_trace t = t.golden_trace
 
 (* Generalized scalar injection: flip every member flop of the model's
    expansion at the injection cycle, and for a hold window > 1 re-arm
@@ -980,12 +981,17 @@ let reset_delta_batch_worker t = t.delta_batch_worker <- None
 
 (* One pass over the horizon: attach at the head fault's cycle (every
    lane bit-exact golden), run forward filling free lanes with queued
-   faults whose cycle has not passed, flipping each lane's flop at its
-   cycle, and retiring lanes per the scalar delta engine's observation
-   order — memo at checkpoint boundaries, SDC on output divergence,
-   Benign the instant the lane re-converges — with survivors classified
-   at the horizon. Returns the overtaken faults for the next pass. *)
-let run_delta_batch_pass t ?on_benign_retire db ~lanes faults verdicts queue =
+   faults whose cycle has not passed, flipping each lane's member flops
+   at its cycle, and retiring lanes per the scalar delta engine's
+   observation order — memo at checkpoint boundaries, SDC on output
+   divergence, Benign the instant the lane re-converges — with
+   survivors classified at the horizon. A lane with a hold window
+   ([hold] > 1) is the lane image of [inject_delta_expanded]: it
+   re-arms every member whose Q flip bit has cleared at each cycle
+   inside the window, and stays out of the memo and of Benign
+   retirement until its last forced cycle. Returns the overtaken
+   faults for the next pass. *)
+let run_delta_batch_pass t ?on_benign_retire db ~lanes ~members ~hold faults verdicts queue =
   let ds = db.System.db_dbsim in
   let flops = db.System.db_netlist.Netlist.flops in
   let n_flops = Array.length flops in
@@ -993,8 +999,12 @@ let run_delta_batch_pass t ?on_benign_retire db ~lanes faults verdicts queue =
   Deltabatch.attach ds ~cycle:head_cycle;
   let lane_fault = Array.make lanes (-1) in
   let lane_pending = Array.make lanes [] in
+  let lane_window_end = Array.make lanes 0 in
   let active = ref 0 in
   let injected = ref 0 in
+  (* Lanes before their last forced cycle: re-armed every cycle, kept
+     out of the memo and of Benign retirement. *)
+  let held = ref 0 in
   let free = ref (List.init lanes Fun.id) in
   let pending_q = ref queue in
   let leftover = ref [] in
@@ -1013,6 +1023,7 @@ let run_delta_batch_pass t ?on_benign_retire db ~lanes faults verdicts queue =
     let m = lnot (1 lsl lane) in
     active := !active land m;
     injected := !injected land m;
+    held := !held land m;
     (* Unlike the bit-parallel engine there is nothing to defer: wiping
        returns the lane to bit-exact golden, so nothing stale can leak
        back through the latch. *)
@@ -1025,7 +1036,7 @@ let run_delta_batch_pass t ?on_benign_retire db ~lanes faults verdicts queue =
      memo keys fall out of the flip words directly — same indices, same
      faulty values, same ascending order. *)
   let boundary_check () =
-    let check = !injected land Deltabatch.live_mask ds in
+    let check = !injected land lnot !held land Deltabatch.live_mask ds in
     if check <> 0 then begin
       let counts = Array.make lanes 0 in
       let fd = Array.make lanes [] in
@@ -1090,14 +1101,35 @@ let run_delta_batch_pass t ?on_benign_retire db ~lanes faults verdicts queue =
        in
        refill ();
        if !active = 0 then raise Exit;
+       (* Re-arm: force every held member back to the complement of its
+          golden Q ("flip if not flipped"), releasing each lane from the
+          guard at its last forced cycle. *)
+       if !held <> 0 then
+         for lane = 0 to lanes - 1 do
+           let bit = 1 lsl lane in
+           if !held land bit <> 0 then begin
+             Array.iter
+               (fun fid ->
+                 if Deltabatch.flip_word ds flops.(fid).Netlist.q land bit = 0 then
+                   Deltabatch.flip_flop_lane ds fid ~lane)
+               members.(lane_fault.(lane));
+             if !c >= lane_window_end.(lane) - 1 then held := !held land lnot bit
+           end
+         done;
        let to_inject = !active land lnot !injected in
        if to_inject <> 0 then
          for lane = 0 to lanes - 1 do
            if to_inject land (1 lsl lane) <> 0 then begin
-             let flop_id, fc = faults.(lane_fault.(lane)) in
+             let idx = lane_fault.(lane) in
+             let fc = snd faults.(idx) in
              if fc = !c then begin
-               Deltabatch.flip_flop_lane ds flop_id ~lane;
-               injected := !injected lor (1 lsl lane)
+               Array.iter (fun fid -> Deltabatch.flip_flop_lane ds fid ~lane) members.(idx);
+               injected := !injected lor (1 lsl lane);
+               let window_end = min t.total_cycles (fc + hold) in
+               if fc < window_end - 1 then begin
+                 lane_window_end.(lane) <- window_end;
+                 held := !held lor (1 lsl lane)
+               end
              end
            end
          done;
@@ -1114,7 +1146,7 @@ let run_delta_batch_pass t ?on_benign_retire db ~lanes faults verdicts queue =
            done
        end;
        if !injected <> 0 then begin
-         let conv = !injected land lnot (Deltabatch.live_mask ds) in
+         let conv = !injected land lnot !held land lnot (Deltabatch.live_mask ds) in
          if conv <> 0 then
            for lane = 0 to lanes - 1 do
              if conv land (1 lsl lane) <> 0 then begin
@@ -1149,7 +1181,7 @@ let run_delta_batch_pass t ?on_benign_retire db ~lanes faults verdicts queue =
   in
   List.merge by_cycle (List.rev !leftover) !pending_q
 
-let inject_delta_batch t ?lanes ?on_benign_retire ~faults () =
+let inject_delta_batch t ?lanes ?space ?on_benign_retire ~faults () =
   let lanes =
     match lanes with
     | None -> max_delta_lanes
@@ -1166,18 +1198,23 @@ let inject_delta_batch t ?lanes ?on_benign_retire ~faults () =
     faults;
   let db = delta_batch_worker t in
   let n = Array.length faults in
+  (* Without a space every key is a flop id: the SEU. *)
+  let members, hold =
+    match space with
+    | None -> (Array.map (fun (flop_id, _) -> [| flop_id |]) faults, 1)
+    | Some space ->
+      (Array.map (fun (key, _) -> Fault_space.expand space key) faults, Fault_space.hold space)
+  in
+  (* An empty expansion (a SET pulse nothing latches) is the golden run:
+     Benign, without taking a lane. *)
   let verdicts = Array.make n Benign in
   (* Classify in injection-cycle order so each pass drains as many
      faults as possible before their cycles are overtaken. *)
-  let order = Array.init n Fun.id in
-  Array.sort
-    (fun a b ->
-      let ca = snd faults.(a) and cb = snd faults.(b) in
-      if ca <> cb then compare ca cb else compare a b)
-    order;
-  let queue = ref (Array.to_list order) in
+  let order = List.filter (fun i -> Array.length members.(i) > 0) (List.init n Fun.id) in
+  let queue = ref (List.stable_sort (fun a b -> compare (snd faults.(a)) (snd faults.(b))) order) in
   while !queue <> [] do
-    queue := run_delta_batch_pass t ?on_benign_retire db ~lanes faults verdicts !queue
+    queue :=
+      run_delta_batch_pass t ?on_benign_retire db ~lanes ~members ~hold faults verdicts !queue
   done;
   verdicts
 
@@ -1223,7 +1260,9 @@ let draw_samples t ~space ~rng ~n =
   done;
   samples
 
-let run_sample t ~space ~rng ~n ?(skip = fun ~flop_id:_ ~cycle:_ -> false) ?(jobs = 1) () =
+let no_skip ~flop_id:_ ~cycle:_ = false
+
+let run_sample t ~space ~rng ~n ?(skip = no_skip) ?(jobs = 1) () =
   (* Draw all samples up front with the single caller-provided generator:
      the fault list — and therefore the stats — is a function of the seed
      alone, independent of [jobs]. *)
@@ -1252,124 +1291,40 @@ let run_sample t ~space ~rng ~n ?(skip = fun ~flop_id:_ ~cycle:_ -> false) ?(job
   in
   { injections = n - n_skipped; benign = b; latent = l; sdc = s; skipped = n_skipped; crashed = 0 }
 
-let run_sample_batched t ~space ~rng ~n ?(skip = fun ~flop_id:_ ~cycle:_ -> false) ?lanes () =
-  (* Same draw order as [run_sample]: equal seeds yield equal fault
-     lists, so the batched stats must equal the scalar stats exactly. *)
+(* The single-process engines' shared shape: the canonical draw, the
+   skip predicate, then [inject_all] over the unskipped faults in draw
+   order. *)
+let run_sample_with t ~space ~rng ~n ~skip inject_all =
   let samples = draw_samples t ~space ~rng ~n in
-  let skipped = Array.map (fun (flop_id, cycle) -> skip ~flop_id ~cycle) samples in
-  let n_skipped = Array.fold_left (fun acc s -> if s then acc + 1 else acc) 0 skipped in
-  match space.Fault_space.model with
-  | Fault_model.Seu ->
-    let faults = Array.make (n - n_skipped) (0, 0) in
-    let j = ref 0 in
-    for i = 0 to n - 1 do
-      if not skipped.(i) then begin
-        faults.(!j) <- samples.(i);
-        incr j
-      end
-    done;
-    let verdicts = inject_batch t ?lanes ~faults () in
-    let b = ref 0 and l = ref 0 and s = ref 0 in
-    Array.iter
-      (function
-        | Benign -> incr b
-        | Latent -> incr l
-        | Sdc _ -> incr s)
-      verdicts;
-    {
-      injections = n - n_skipped;
-      benign = !b;
-      latent = !l;
-      sdc = !s;
-      skipped = n_skipped;
-      crashed = 0;
-    }
-  | _ ->
-    (* The bit-lane engine carries exactly one flop flip per lane;
-       non-SEU models fall back to the scalar reference injector,
-       fault by fault (documented in the engine support matrix). *)
-    let b, l, s = count_chunk t t.primary ~space samples skipped 0 (n - 1) in
-    { injections = n - n_skipped; benign = b; latent = l; sdc = s; skipped = n_skipped; crashed = 0 }
-
-let run_sample_delta t ~space ~rng ~n ?(skip = fun ~flop_id:_ ~cycle:_ -> false) () =
-  (* Same draw order again: equal seeds yield equal fault lists, so the
-     delta stats must equal the scalar and batched stats exactly. *)
-  let samples = draw_samples t ~space ~rng ~n in
-  let skipped = Array.map (fun (flop_id, cycle) -> skip ~flop_id ~cycle) samples in
-  let n_skipped = Array.fold_left (fun acc s -> if s then acc + 1 else acc) 0 skipped in
+  let faults =
+    List.filter (fun (flop_id, cycle) -> not (skip ~flop_id ~cycle)) (Array.to_list samples)
+  in
+  let verdicts = inject_all (Array.of_list faults) in
   let b = ref 0 and l = ref 0 and s = ref 0 in
-  for i = 0 to n - 1 do
-    if not skipped.(i) then begin
-      let key, cycle = samples.(i) in
-      match inject_fault_delta t ~space ~key ~cycle with
+  Array.iter
+    (function
       | Benign -> incr b
       | Latent -> incr l
-      | Sdc _ -> incr s
-    end
-  done;
-  {
-    injections = n - n_skipped;
-    benign = !b;
-    latent = !l;
-    sdc = !s;
-    skipped = n_skipped;
-    crashed = 0;
-  }
+      | Sdc _ -> incr s)
+    verdicts;
+  let injections = Array.length verdicts in
+  { injections; benign = !b; latent = !l; sdc = !s; skipped = n - injections; crashed = 0 }
 
-let run_sample_delta_batched t ~space ~rng ~n ?(skip = fun ~flop_id:_ ~cycle:_ -> false) ?lanes
-    () =
-  (* Same draw order again: equal seeds yield equal fault lists, so the
-     batched-delta stats must equal the other three engines exactly. *)
-  let samples = draw_samples t ~space ~rng ~n in
-  let skipped = Array.map (fun (flop_id, cycle) -> skip ~flop_id ~cycle) samples in
-  let n_skipped = Array.fold_left (fun acc s -> if s then acc + 1 else acc) 0 skipped in
-  match space.Fault_space.model with
-  | Fault_model.Seu ->
-    let faults = Array.make (n - n_skipped) (0, 0) in
-    let j = ref 0 in
-    for i = 0 to n - 1 do
-      if not skipped.(i) then begin
-        faults.(!j) <- samples.(i);
-        incr j
-      end
-    done;
-    let verdicts = inject_delta_batch t ?lanes ~faults () in
-    let b = ref 0 and l = ref 0 and s = ref 0 in
-    Array.iter
-      (function
-        | Benign -> incr b
-        | Latent -> incr l
-        | Sdc _ -> incr s)
-      verdicts;
-    {
-      injections = n - n_skipped;
-      benign = !b;
-      latent = !l;
-      sdc = !s;
-      skipped = n_skipped;
-      crashed = 0;
-    }
-  | _ ->
-    (* One flop flip per lane word again; non-SEU models fall back to
-       the single-fault delta injector (documented in the matrix). *)
-    let b = ref 0 and l = ref 0 and s = ref 0 in
-    for i = 0 to n - 1 do
-      if not skipped.(i) then begin
-        let key, cycle = samples.(i) in
-        match inject_fault_delta t ~space ~key ~cycle with
-        | Benign -> incr b
-        | Latent -> incr l
-        | Sdc _ -> incr s
-      end
-    done;
-    {
-      injections = n - n_skipped;
-      benign = !b;
-      latent = !l;
-      sdc = !s;
-      skipped = n_skipped;
-      crashed = 0;
-    }
+let run_sample_batched t ~space ~rng ~n ?(skip = no_skip) ?lanes () =
+  (* Same draw order as [run_sample]: equal seeds yield equal fault
+     lists, so the batched stats must equal the scalar stats exactly. *)
+  run_sample_with t ~space ~rng ~n ~skip (fun faults ->
+      match effective_kernel ~model:space.Fault_space.model Batched with
+      | Batched -> inject_batch t ?lanes ~faults ()
+      | _ -> Array.map (fun (key, cycle) -> inject_fault t t.primary ~space ~key ~cycle) faults)
+
+let run_sample_delta t ~space ~rng ~n ?(skip = no_skip) () =
+  run_sample_with t ~space ~rng ~n ~skip
+    (Array.map (fun (key, cycle) -> inject_fault_delta t ~space ~key ~cycle))
+
+let run_sample_delta_batched t ~space ~rng ~n ?(skip = no_skip) ?lanes () =
+  run_sample_with t ~space ~rng ~n ~skip (fun faults ->
+      inject_delta_batch t ?lanes ~space ~faults ())
 
 let pp_verdict ppf = function
   | Benign -> Format.fprintf ppf "benign"

@@ -60,11 +60,10 @@
     fault queue mid-pass. Verdicts — including SDC cycles — are
     bit-identical to {!inject}.
 
-    All four engines record the golden baseline once: the campaign
-    caches the recorded trace per its (core, program, horizon) identity,
-    so delta and batched-delta workers — including rebuilds after crash
-    recovery, durable shards and distributed chunk re-execution — share
-    one recording. *)
+    The golden baseline costs one simulation: {!create}'s golden run
+    records every wire into the trace the delta-family workers share —
+    including rebuilds after crash recovery, durable shards and
+    distributed chunk re-execution. *)
 
 type verdict =
   | Benign
@@ -81,6 +80,13 @@ type kernel =
 
 val kernel_name : kernel -> string
 val kernel_of_string : string -> kernel option
+
+val effective_kernel : model:Fault_model.t -> kernel -> kernel
+(** The kernel that actually classifies faults of [model]: [Batched]
+    carries one flop flip per bit-lane, so every non-[Seu] model maps
+    it to [Scalar]; every other kernel runs every model natively. A pure
+    function of its arguments, so resumed and distributed runs re-derive
+    the same kernel. *)
 
 type t
 
@@ -101,12 +107,11 @@ val create :
     and enables {!inject_batch} / {!run_sample_batched}; the lane worker
     (and its own checkpoint set) is built lazily on first batched call.
     [make_delta] builds the same system over the activity-gated delta
-    kernel (from a golden trace the campaign records lazily on first
-    delta call) and enables {!inject_delta} / {!run_sample_delta};
+    kernel (from the golden trace recorded here, see {!golden_trace})
+    and enables {!inject_delta} / {!run_sample_delta};
     [make_delta_batch] does the same over the batched delta kernel and
     enables {!inject_delta_batch} / {!run_sample_delta_batched}. The
-    delta-family engines share one cached golden recording (see
-    {!golden_trace}).
+    delta workers themselves are built lazily on first use.
     [checkpoint_interval] defaults to [max 1 (total_cycles / 64)]; a value
     larger than [total_cycles] effectively disables checkpointing (single
     snapshot at reset, no early verdicts). *)
@@ -238,18 +243,20 @@ val run_sample_batched :
 (** {!run_sample}, batched: draws the identical fault list for the same
     [rng] seed and classifies it with {!inject_batch}, so the stats are
     bit-identical to the scalar path's. The bit-lane engine carries one
-    flop flip per lane, so non-[Seu] fault models fall back to the
-    scalar reference injector fault-by-fault (stats still identical). *)
+    flop flip per lane, so non-[Seu] fault models run on the scalar
+    reference injector fault-by-fault ({!effective_kernel}; stats still
+    identical). *)
 
 val reset_delta_worker : t -> unit
-(** Discard the cached delta worker (trace and all); the next delta call
-    rebuilds it. Recovery action when an exception escaped
+(** Discard the cached delta worker; the next delta call rebuilds it
+    (reusing {!golden_trace}). Recovery action when an exception escaped
     mid-experiment and the kernel's dirty set is no longer trustworthy. *)
 
 val golden_trace : t -> Pruning_sim.Trace.t
-(** The golden baseline shared by the delta-family engines: one full
-    recorded run of the scalar system, made lazily on first use and
-    cached for the campaign's lifetime. Because the campaign {e is} the
+(** The golden baseline shared by the delta-family engines: every wire
+    of the golden run, recorded by {!create}'s golden loop (byte-equal
+    to {!Pruning_cpu.System.record} on a fresh system) and kept for the
+    campaign's lifetime. Because the campaign {e is} the
     (core, program, horizon) identity, every delta-family worker built
     from it — including rebuilds after {!reset_delta_worker} /
     {!reset_delta_batch_worker}, durable shards and distributed chunk
@@ -266,7 +273,7 @@ val inject_delta : ?budget:int -> t -> flop_id:int -> cycle:int -> verdict
     diffs (byte-identical to the scalar engine's). [budget] bounds
     simulated cycles as in {!inject_with}; the worker remains usable
     after {!Budget_exceeded}. Requires [~make_delta] at {!create}; the
-    kernel (and its golden trace) is built lazily on first call. Not
+    kernel is built lazily on first call (over {!golden_trace}). Not
     safe to call concurrently from several domains (one shared delta
     worker). *)
 
@@ -297,14 +304,23 @@ val reset_delta_batch_worker : t -> unit
 val inject_delta_batch :
   t ->
   ?lanes:int ->
+  ?space:Fault_space.t ->
   ?on_benign_retire:(index:int -> cycle:int -> unit) ->
   faults:(int * int) array ->
   unit ->
   verdict array
-(** Classify every [(flop_id, cycle)] fault on the batched delta
-    worker and return the verdicts in input order. [lanes] (default
+(** Classify every [(key, cycle)] fault on the batched delta worker and
+    return the verdicts in input order. [lanes] (default
     {!max_delta_lanes}, must be in [\[1, max_delta_lanes\]]) caps how
-    many faults are in flight at once. [on_benign_retire] is called
+    many faults are in flight at once. [space] names the fault model
+    the keys belong to; without it every key is a flop id (SEU). At its
+    injection cycle a lane flips every flop of {!Fault_space.expand}
+    [space key]; for a hold window ({!Fault_space.hold} > 1) it re-arms
+    each member whose flip has cleared at every cycle of the window and
+    stays out of the verdict memo and of Benign retirement until the
+    last forced cycle, exactly like {!inject_fault_delta}. An empty
+    expansion is [Benign] without taking a lane. Verdicts are
+    bit-identical to {!inject_fault} for every model. [on_benign_retire] is called
     (with the fault's index into [faults] and the retirement cycle) for
     every mid-pass Benign retirement — i.e. each time a lane's dirty
     set dies out before the horizon; the differential tests use it to
@@ -324,8 +340,7 @@ val run_sample_delta_batched :
   stats
 (** {!run_sample}, on the batched delta kernel: draws the identical
     fault list for the same [rng] seed and classifies it with
-    {!inject_delta_batch}, so the stats are bit-identical to the other
-    three engines'. Non-[Seu] fault models fall back to the single-fault
-    delta injector (stats still identical). *)
+    {!inject_delta_batch} under [space]'s fault model, so the stats are
+    bit-identical to the other three engines' for every model. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit

@@ -62,19 +62,11 @@ let run campaign ~space ~seed ~n ?(ident = ("unknown", "unknown")) ?skip ?audit 
     in
     if l < 1 || l > max_l then
       invalid_arg (Printf.sprintf "Durable.run: lanes must be in [1, %d]" max_l));
-  (* The lane-parallel engines carry exactly one flop flip per lane, so
-     non-SEU fault models map each batched kernel to its scalar-family
-     reference before anything derived from the kernel (shard count,
-     header [batched] flag) is computed — the mapping is a pure function
-     of (model, requested kernel), so resumed runs re-derive the same
-     effective kernel and the same header. *)
-  let kernel =
-    match (space.Fault_space.model, kernel) with
-    | Fault_model.Seu, k -> k
-    | _, Campaign.Batched -> Campaign.Scalar
-    | _, Campaign.Delta_batched -> Campaign.Delta
-    | _, k -> k
-  in
+  (* Remap the kernel for the fault model before anything derived from
+     it (shard count, header [batched] flag) is computed — the mapping
+     is a pure function of (model, requested kernel), so resumed runs
+     re-derive the same effective kernel and the same header. *)
+  let kernel = Campaign.effective_kernel ~model:space.Fault_space.model kernel in
   (match audit with
   | Some (p, _) when not (p >= 0. && p <= 1.) ->
     invalid_arg "Durable.run: audit fraction must be in [0, 1]"
@@ -385,7 +377,7 @@ let run campaign ~space ~seed ~n ?(ident = ("unknown", "unknown")) ?skip ?audit 
   | Campaign.Delta_batched ->
     run_windowed
       ~window:(4 * Option.value lanes ~default:Campaign.max_delta_lanes)
-      ~inject_all:(fun ~faults -> Campaign.inject_delta_batch campaign ?lanes ~faults ())
+      ~inject_all:(fun ~faults -> Campaign.inject_delta_batch campaign ?lanes ~space ~faults ())
       ~recover:(fun () -> Campaign.reset_delta_batch_worker campaign)
       (Prng.restore shard_states.(0))
   | Campaign.Delta ->

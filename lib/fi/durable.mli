@@ -112,7 +112,10 @@ val run :
     are verdict-bit-identical those resume interchangeably ([Scalar],
     [Delta] and [Delta_batched] journals are mutually compatible;
     [Batched] alone marks its header, a historical distinction
-    {!Journal.require_match} still enforces). [lanes] caps the in-flight
+    {!Journal.require_match} still enforces). Every kernel classifies
+    every fault model natively except [Batched], which runs non-[Seu]
+    models on the scalar engine ({!Campaign.effective_kernel}, applied
+    before the header is built). [lanes] caps the in-flight
     faults per pass of the [Batched] / [Delta_batched] kernels (default:
     the engine's maximum; rejected for the per-fault kernels). [budget]
     is the per-experiment watchdog in simulated cycles

@@ -223,7 +223,7 @@ let run ~host ~port ~resolve ?name ?(heartbeat = 1.) ?(recv_timeout = 30.) ?(ret
       | Some (Chaos.Stall s) -> Unix.sleepf s
       | _ -> ()
     in
-    (match engine.kernel with
+    (match Campaign.effective_kernel ~model:engine.space.Fault_space.model engine.kernel with
     | (Campaign.Batched | Campaign.Delta_batched) as kernel -> begin
       (* Classify the skip decisions first, then push the remainder
          through a whole-chunk engine (lane-parallel or batched-delta)
@@ -231,7 +231,8 @@ let run ~host ~port ~resolve ?name ?(heartbeat = 1.) ?(recv_timeout = 30.) ?(ret
       let inject_all, recover =
         match kernel with
         | Campaign.Delta_batched ->
-          ( (fun ~faults -> Campaign.inject_delta_batch engine.campaign ~faults ()),
+          ( (fun ~faults ->
+              Campaign.inject_delta_batch engine.campaign ~space:engine.space ~faults ()),
             fun () -> Campaign.reset_delta_batch_worker engine.campaign )
         | _ ->
           ( (fun ~faults -> Campaign.inject_batch engine.campaign ~faults ()),

@@ -20,9 +20,11 @@
     {!Campaign.inject_delta} or the batched-delta
     {!Campaign.inject_delta_batch}); since all four produce
     bit-identical verdicts, a fleet may freely mix workers running
-    different kernels. The delta-family workers record the golden
-    baseline once per campaign identity (cached by header across
-    reconnects and chunk re-execution; see {!Campaign.golden_trace}).
+    different kernels. [Batched] runs non-[Seu] models on the scalar
+    engine ({!Campaign.effective_kernel}). The delta-family workers
+    share the golden baseline recorded once per campaign identity
+    (cached by header across reconnects and chunk re-execution; see
+    {!Campaign.golden_trace}).
     Experiments are
     supervised exactly like {!Durable}: a raising experiment is retried
     on a fresh system with backoff, a persistent failure is reported as

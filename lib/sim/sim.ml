@@ -26,6 +26,9 @@ type t = {
   values : bool array;
   is_input : bool array;
   packed : packed_gate array; (* in topological order *)
+  input_cone : packed_gate array;
+      (* the gates downstream of a primary input, in topological order:
+         the only gates a device round can change *)
   latch_buf : bool array; (* scratch for the two-phase flop update *)
   mutable devices_rev : device list; (* newest first; O(1) attach *)
   mutable devices_ord : device list option; (* cached attach order *)
@@ -47,11 +50,25 @@ let create nl =
         { table = g.Netlist.cell.Cell.table; g_inputs = g.Netlist.inputs; g_output = g.Netlist.output })
       nl.Netlist.topo
   in
+  let tainted = Array.copy is_input in
+  let input_cone =
+    Array.of_list
+      (Array.fold_left
+         (fun acc g ->
+           if Array.exists (fun w -> tainted.(w)) g.g_inputs then begin
+             tainted.(g.g_output) <- true;
+             g :: acc
+           end
+           else acc)
+         [] packed
+      |> List.rev)
+  in
   {
     nl;
     values;
     is_input;
     packed;
+    input_cone;
     latch_buf = Array.make (Netlist.n_flops nl) false;
     devices_rev = [];
     devices_ord = None;
@@ -93,8 +110,7 @@ let get_port t name =
   Array.iteri (fun i w -> if t.values.(w) then v := !v lor (1 lsl i)) port.Netlist.port_wires;
   !v
 
-let eval_combinational t =
-  let values = t.values in
+let eval_gates values gates =
   Array.iter
     (fun g ->
       let pattern = ref 0 in
@@ -103,12 +119,12 @@ let eval_combinational t =
         if values.(ins.(j)) then pattern := !pattern lor (1 lsl j)
       done;
       values.(g.g_output) <- g.table land (1 lsl !pattern) <> 0)
-    t.packed
+    gates
 
 let max_device_rounds = 5
 
 let eval t =
-  eval_combinational t;
+  eval_gates t.values t.packed;
   if t.devices_rev <> [] then begin
     let changed = ref true in
     let rounds = ref 0 in
@@ -129,7 +145,9 @@ let eval t =
         incr rounds;
         if !rounds > max_device_rounds then
           failwith "Sim.eval: device inputs failed to stabilize";
-        eval_combinational t
+        (* Devices drive only primary inputs, so every gate outside the
+           input cone already holds its settled value. *)
+        eval_gates t.values t.input_cone
       end
     done
   end
@@ -148,11 +166,11 @@ let latch t =
   done;
   t.cyc <- t.cyc + 1
 
+let record_row t trace = Trace.append trace t.values
+
 let step t ?trace () =
   eval t;
-  (match trace with
-  | Some tr -> Trace.append tr t.values
-  | None -> ());
+  Option.iter (record_row t) trace;
   latch t
 
 let run t ?trace ~cycles () =

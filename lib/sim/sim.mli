@@ -56,14 +56,21 @@ val get_port : t -> string -> int
 (** Read a whole output (or input) port as an integer. *)
 
 val eval : t -> unit
-(** Stabilize combinational logic and devices for the current cycle. *)
+(** Stabilize combinational logic and devices for the current cycle: one
+    full netlist pass, then — while devices keep changing primary
+    inputs — re-evaluation of just the gates downstream of a primary
+    input (the rest cannot change). *)
 
 val latch : t -> unit
 (** Clock edge: run device clocked hooks, update every flip-flop from its
     D wire, advance the cycle counter. Call after {!eval}. *)
 
+val record_row : t -> Trace.t -> unit
+(** Append every wire's current value to [trace] as its next row. Call
+    after {!eval}. *)
+
 val step : t -> ?trace:Trace.t -> unit -> unit
-(** [eval]; optionally record all wire values into [trace]; [latch]. *)
+(** [eval]; optionally {!record_row} into [trace]; [latch]. *)
 
 val run : t -> ?trace:Trace.t -> cycles:int -> unit -> unit
 

@@ -1,7 +1,9 @@
 (* First-class fault models: spec parsing, model-keyed fault spaces,
    SET cone expansion against an independent brute-force reachability,
-   intermittent:1 degenerating exactly to SEU, scalar/delta verdict
-   identity for every model on both cores, model-aware MATE lifting
+   intermittent:1 degenerating exactly to SEU, scalar/delta/lanes verdict
+   identity for every model on both cores (including the hold-window
+   guard and empty SET expansions on the delta lanes, and the one
+   model -> kernel remap through Durable and Worker), model-aware MATE lifting
    under --audit 1.0, and the journal/proto plumbing that pins the
    model (header field, per-record nibble, chunk descriptor, resume
    refusal). *)
@@ -14,6 +16,8 @@ module Durable = Pruning_fi.Durable
 module Journal = Pruning_fi.Journal
 module Proto = Pruning_fi.Proto
 module Oracle = Pruning_fi.Oracle
+module Coordinator = Pruning_fi.Coordinator
+module Worker = Pruning_fi.Worker
 module System = Pruning_cpu.System
 module Avr_asm = Pruning_cpu.Avr_asm
 module Msp_asm = Pruning_cpu.Msp_asm
@@ -183,8 +187,13 @@ let msp_build ~model ~cycles =
   let program = Msp_asm.assemble Programs.msp_fib_halting in
   let make () = System.create_msp ~netlist:nl ~program "msp/fib" in
   let make_delta ~trace = System.create_msp_delta ~netlist:nl ~program ~trace "msp/fib" in
+  let make_delta_batch ~trace =
+    System.create_msp_delta_batch ~netlist:nl ~program ~trace "msp/fib"
+  in
   let space = Fault_space.full ~model nl ~cycles in
-  let campaign () = Campaign.create ~make ~make_delta ~total_cycles:cycles () in
+  let campaign () =
+    Campaign.create ~make ~make_delta ~make_delta_batch ~total_cycles:cycles ()
+  in
   (space, campaign)
 
 (* intermittent:1 is SEU by definition: same draws (flop-keyed space),
@@ -222,8 +231,8 @@ let test_avr_models_scalar_delta () =
       let label = "avr/" ^ Fault_model.name model in
       let b = avr_build ~model ~cycles in
       let scalar, _ = check_engines label b ~n ~seed in
-      (* The wide engines fall back per-fault for non-SEU models and
-         must still match bit-for-bit. *)
+      (* The bit-lane engine falls back per-fault for non-SEU models,
+         the delta lanes run them natively; both must match bit-for-bit. *)
       let space, campaign = b in
       let batched =
         Campaign.run_sample_batched (campaign ()) ~space ~rng:(Prng.create seed) ~n ()
@@ -232,7 +241,7 @@ let test_avr_models_scalar_delta () =
       let delta_batched =
         Campaign.run_sample_delta_batched (campaign ()) ~space ~rng:(Prng.create seed) ~n ()
       in
-      check_stats (label ^ ": delta-batched fallback = scalar") scalar delta_batched)
+      check_stats (label ^ ": delta-batched lanes = scalar") scalar delta_batched)
     [ Fault_model.Set; Fault_model.Mbu 2; Fault_model.Intermittent 3 ]
 
 let test_msp_models_scalar_delta () =
@@ -242,6 +251,111 @@ let test_msp_models_scalar_delta () =
       let label = "msp/" ^ Fault_model.name model in
       ignore (check_engines label (msp_build ~model ~cycles) ~n ~seed))
     [ Fault_model.Set; Fault_model.Mbu 2; Fault_model.Intermittent 3 ]
+
+(* --- every model on the delta lanes ------------------------------------ *)
+
+let non_seu_models = [ Fault_model.Set; Fault_model.Mbu 2; Fault_model.Intermittent 3 ]
+
+let scalar_verdicts campaign ~space faults =
+  let c = campaign () in
+  let w = Campaign.primary_worker c in
+  Array.map (fun (key, cycle) -> Campaign.inject_fault c w ~space ~key ~cycle) faults
+
+(* Verdict by verdict (SDC cycles included), per model, on both cores
+   and at three lane widths: one lane, a few lanes that refill often,
+   and every lane. *)
+let test_lanes_scalar_per_model () =
+  List.iter
+    (fun (core, build, cycles, n) ->
+      List.iter
+        (fun model ->
+          let label = core ^ "/" ^ Fault_model.name model in
+          let space, campaign = build ~model ~cycles in
+          let faults = Campaign.draw_samples (campaign ()) ~space ~rng:(Prng.create 21) ~n in
+          let scalar = scalar_verdicts campaign ~space faults in
+          List.iter
+            (fun lanes ->
+              let lanes_v = Campaign.inject_delta_batch (campaign ()) ~lanes ~space ~faults () in
+              Array.iteri
+                (fun i v ->
+                  if v <> lanes_v.(i) then
+                    Alcotest.failf "%s, %d lanes: fault %d (key %d @ %d) scalar %a, lanes %a"
+                      label lanes i (fst faults.(i)) (snd faults.(i)) Campaign.pp_verdict v
+                      Campaign.pp_verdict lanes_v.(i))
+                scalar)
+            [ 1; 7; 63 ])
+        non_seu_models)
+    [ ("avr", avr_build, 120, 150); ("msp", msp_build, 100, 90) ]
+
+(* A hold window forces its members until the last forced cycle, so no
+   lane may retire Benign (or touch the memo) before it; every early
+   retirement that does fire must be Benign on scalar replay. *)
+let test_lanes_benign_retire () =
+  let cycles = 120 and n = 200 in
+  List.iter
+    (fun model ->
+      let label = Fault_model.name model in
+      let space, campaign = avr_build ~model ~cycles in
+      let faults = Campaign.draw_samples (campaign ()) ~space ~rng:(Prng.create 17) ~n in
+      let retired = ref [] in
+      let verdicts =
+        Campaign.inject_delta_batch (campaign ()) ~space ~faults
+          ~on_benign_retire:(fun ~index ~cycle -> retired := (index, cycle) :: !retired)
+          ()
+      in
+      check_bool (label ^ ": some early retirements") true (!retired <> []);
+      let hold = Fault_space.hold space in
+      let reference = campaign () in
+      let w = Campaign.primary_worker reference in
+      List.iter
+        (fun (index, cycle) ->
+          let key, fc = faults.(index) in
+          let window_end = min cycles (fc + hold) in
+          if cycle < window_end - 1 then
+            Alcotest.failf "%s: fault %d retired Benign at %d inside its window [%d, %d)" label
+              index cycle fc window_end;
+          check_bool (label ^ ": retired verdict benign") true (verdicts.(index) = Campaign.Benign);
+          check_bool (label ^ ": scalar replay benign") true
+            (Campaign.inject_fault reference w ~space ~key ~cycle:fc = Campaign.Benign))
+        !retired)
+    [ Fault_model.Intermittent 3; Fault_model.Intermittent 6; Fault_model.Set; Fault_model.Mbu 2 ]
+
+(* The verdict memo is shared across models. An SEU pass records the
+   state "flop flipped at cycle c" with the SEU's verdict; an
+   intermittent lane holding that flop from cycle c sees the same state
+   at c but is still forced afterwards, so it must not read (or write)
+   the memo before its last forced cycle. *)
+let test_lanes_hold_skips_memo () =
+  let cycles = 120 and n = 200 in
+  let space, campaign = avr_build ~model:(Fault_model.Intermittent 6) ~cycles in
+  let seu_space = Fault_space.full (System.avr_netlist ()) ~cycles in
+  let c = campaign () in
+  let faults = Campaign.draw_samples c ~space:seu_space ~rng:(Prng.create 31) ~n in
+  ignore (Campaign.inject_delta_batch c ~faults ());
+  let held = Campaign.inject_delta_batch c ~space ~faults () in
+  check_bool "intermittent after SEU on one memo = scalar" true
+    (held = scalar_verdicts campaign ~space faults)
+
+(* A SET pulse nothing latches is the golden run: Benign, and it never
+   occupies a lane (a lane would retire it through [on_benign_retire]). *)
+let test_lanes_empty_set () =
+  let cycles = 60 in
+  let space, campaign = avr_build ~model:Fault_model.Set ~cycles in
+  let keys = List.init (Fault_space.n_keys space) Fun.id in
+  let empty = List.find (fun k -> Fault_space.expand space k = [||]) keys in
+  let latched = List.find (fun k -> Fault_space.expand space k <> [||]) keys in
+  let faults = [| (empty, 5); (latched, 5); (empty, 30); (latched, 31) |] in
+  let occupied = ref [] in
+  let verdicts =
+    Campaign.inject_delta_batch (campaign ()) ~lanes:1 ~space ~faults
+      ~on_benign_retire:(fun ~index ~cycle:_ -> occupied := index :: !occupied)
+      ()
+  in
+  check_bool "empty expansions Benign" true
+    (verdicts.(0) = Campaign.Benign && verdicts.(2) = Campaign.Benign);
+  check_bool "empty expansions take no lane" false
+    (List.mem 0 !occupied || List.mem 2 !occupied);
+  check_bool "= scalar" true (verdicts = scalar_verdicts campaign ~space faults)
 
 (* --- model-aware MATE lifting under the audit sentinel --------------- *)
 
@@ -452,6 +566,87 @@ let test_resume_model_mismatch () =
   | _ -> Alcotest.fail "model-mismatched resume must raise");
   rm_rf dir
 
+(* --- kernels across resume and the library runners ------------------ *)
+
+(* A non-SEU journal started per fault on the delta kernel resumes on
+   the delta lanes: same header, same verdicts, identical stats. *)
+let test_delta_journal_resumes_on_lanes () =
+  let cycles = 120 and n = 200 and seed = 23 in
+  let space, campaign = avr_build ~model:(Fault_model.Intermittent 3) ~cycles in
+  let ident = ("avr", "fib") in
+  let reference = Campaign.run_sample (campaign ()) ~space ~rng:(Prng.create seed) ~n () in
+  let dir = scratch_dir () in
+  let polls = ref 0 in
+  let interrupted =
+    Durable.run (campaign ()) ~space ~seed ~n ~ident ~kernel:Campaign.Delta ~journal:dir
+      ~should_stop:(fun () ->
+        incr polls;
+        !polls > 80)
+      ()
+  in
+  check_bool "interrupted early" false interrupted.Durable.completed;
+  let resumed =
+    Durable.run (campaign ()) ~space ~seed ~n ~ident ~kernel:Campaign.Delta_batched ~journal:dir
+      ~resume:true ()
+  in
+  check_bool "resumed complete" true resumed.Durable.completed;
+  check_bool "recovered the delta prefix" true
+    (resumed.Durable.recovered > 0 && resumed.Durable.recovered < n);
+  check_stats "delta journal resumed on lanes = scalar" reference resumed.Durable.stats;
+  rm_rf dir
+
+(* The model -> kernel remap lives in Campaign, so the library runners
+   apply it themselves: Durable and Worker driven directly with the wide
+   kernels under SET must reproduce the scalar stats (Batched via its
+   scalar fallback, Delta_batched natively). *)
+let test_runners_remap_kernel () =
+  let cycles = 120 and n = 160 and seed = 29 in
+  let model = Fault_model.Set in
+  let space, campaign = avr_build ~model ~cycles in
+  let reference = Campaign.run_sample (campaign ()) ~space ~rng:(Prng.create seed) ~n () in
+  List.iter
+    (fun kernel ->
+      let label = Campaign.kernel_name kernel in
+      let r = Durable.run (campaign ()) ~space ~seed ~n ~kernel () in
+      check_stats ("durable " ^ label) reference r.Durable.stats;
+      let header =
+        {
+          Journal.core = "avr";
+          program = "fib";
+          cycles;
+          seed;
+          samples = n;
+          prune = false;
+          audit = 0.;
+          shards = 0;
+          batched = false;
+          epoch = 0;
+          fault_model = model;
+          prng = Prng.save (Prng.create seed);
+          shard_prng = [||];
+        }
+      in
+      let config =
+        { Coordinator.default_config with Coordinator.chunk_size = 32; tick = 0.01; drain = 2. }
+      in
+      let coord = Coordinator.create ~config () in
+      let port = Coordinator.port coord in
+      let served = ref None in
+      let server =
+        Thread.create (fun () -> served := Some (Coordinator.serve coord ~header ())) ()
+      in
+      let engine = { Worker.campaign = campaign (); space; skip = None; kernel } in
+      let report =
+        Worker.run ~host:"127.0.0.1" ~port ~resolve:(fun _ -> engine) ~name:("w-" ^ label) ()
+      in
+      Thread.join server;
+      let r = Option.get !served in
+      check_bool ("worker " ^ label ^ " done") true (report.Worker.ended = Worker.Campaign_done);
+      check_int ("worker " ^ label ^ ": no crashes") 0 report.Worker.crashes;
+      check_bool ("coordinator " ^ label ^ " completed") true r.Coordinator.completed;
+      check_stats ("worker " ^ label) reference r.Coordinator.stats)
+    [ Campaign.Batched; Campaign.Delta_batched ]
+
 (* --- proto: the chunk descriptor pins model and parameter ------------ *)
 
 let test_proto_chunk_model () =
@@ -473,8 +668,16 @@ let suite =
     Alcotest.test_case "SET expansion = brute reachability" `Quick test_set_expansion_brute;
     Alcotest.test_case "multi-flop one-cycle masking oracle" `Quick test_multi_benign;
     Alcotest.test_case "intermittent:1 degenerates to seu" `Slow test_intermittent_one_is_seu;
-    Alcotest.test_case "avr: scalar/delta/fallback identity" `Slow test_avr_models_scalar_delta;
+    Alcotest.test_case "avr: scalar/delta/lanes identity" `Slow test_avr_models_scalar_delta;
     Alcotest.test_case "msp: scalar/delta identity" `Slow test_msp_models_scalar_delta;
+    Alcotest.test_case "lanes = scalar per model (1/7/63 lanes)" `Slow test_lanes_scalar_per_model;
+    Alcotest.test_case "lanes: no Benign retirement in a hold window" `Slow
+      test_lanes_benign_retire;
+    Alcotest.test_case "lanes: hold window stays out of the memo" `Quick
+      test_lanes_hold_skips_memo;
+    Alcotest.test_case "lanes: empty SET expansion takes no lane" `Quick test_lanes_empty_set;
+    Alcotest.test_case "delta journal resumes on lanes" `Slow test_delta_journal_resumes_on_lanes;
+    Alcotest.test_case "durable/worker remap kernels per model" `Slow test_runners_remap_kernel;
     Alcotest.test_case "audit 1.0 clean per model" `Quick test_audit_sound_per_model;
     Alcotest.test_case "audit quarantines unsound MATE" `Quick
       test_audit_quarantines_unsound_per_model;

@@ -4,6 +4,7 @@ module Oracle = Pruning_fi.Oracle
 module Campaign = Pruning_fi.Campaign
 module System = Pruning_cpu.System
 module Avr_asm = Pruning_cpu.Avr_asm
+module Msp_asm = Pruning_cpu.Msp_asm
 module Programs = Pruning_cpu.Programs
 
 let test_fault_space_sizes () =
@@ -169,6 +170,36 @@ let test_campaign_sampling () =
   check_int "no verdicts for skips" 0
     (stats2.Campaign.benign + stats2.Campaign.latent + stats2.Campaign.sdc)
 
+(* The golden pass costs one simulation: the trace [Campaign.create]
+   records during its golden loop must be byte-identical to a separate
+   recording of a fresh system, on both cores and at several horizons. *)
+let test_golden_trace_is_record () =
+  let check_core label make horizons =
+    List.iter
+      (fun cycles ->
+        let c = Campaign.create ~make ~total_cycles:cycles () in
+        let got = Campaign.golden_trace c in
+        let want = System.record (make ()) ~cycles in
+        let label = Printf.sprintf "%s @ %d" label cycles in
+        check_int (label ^ ": wires") (Trace.n_wires want) (Trace.n_wires got);
+        check_int (label ^ ": cycles") (Trace.n_cycles want) (Trace.n_cycles got);
+        for cycle = 0 to cycles - 1 do
+          if not (Bytes.equal (Trace.row_bytes want ~cycle) (Trace.row_bytes got ~cycle)) then
+            Alcotest.failf "%s: row %d differs" label cycle
+        done)
+      horizons
+  in
+  let avr = System.avr_netlist () in
+  let avr_program = Avr_asm.assemble Programs.avr_fib_halting in
+  check_core "avr"
+    (fun () -> System.create_avr ~netlist:avr ~program:avr_program "avr/fib")
+    [ 1; 37; 300 ];
+  let msp = System.msp_netlist () in
+  let msp_program = Msp_asm.assemble Programs.msp_fib_halting in
+  check_core "msp"
+    (fun () -> System.create_msp ~netlist:msp ~program:msp_program "msp/fib")
+    [ 1; 64; 250 ]
+
 let suite =
   [
     Alcotest.test_case "fault space sizes" `Quick test_fault_space_sizes;
@@ -178,4 +209,6 @@ let suite =
     Alcotest.test_case "campaign verdicts" `Quick test_campaign_verdicts;
     Alcotest.test_case "campaign agrees with oracle" `Quick test_campaign_benign_via_oracle_agreement;
     Alcotest.test_case "campaign sampling" `Quick test_campaign_sampling;
+    Alcotest.test_case "golden trace = System.record (both cores)" `Quick
+      test_golden_trace_is_record;
   ]

@@ -172,6 +172,86 @@ let test_counter_netlist_trace_vs_sim () =
     Sim.latch sim2
   done
 
+(* [Sim.eval] re-evaluates only the gates downstream of a primary input
+   on device rounds. Property: on random small netlists with a
+   combinational device driving primary inputs from other wires, every
+   wire after [Sim.eval] equals a full-netlist fixed point computed here
+   from scratch. Input j is driven only from a wire whose input support
+   lies in inputs < j, so the fixed point exists and is unique. *)
+let prop_device_rounds_fixed_point =
+  QCheck2.Test.make ~name:"sim: device rounds = full-netlist fixed point" ~count:300
+    QCheck2.Gen.(pair int (int_range 1 6))
+    (fun (seed, cycles) ->
+      let rng = Prng.create seed in
+      let nl = Test_mate.random_netlist rng 0 in
+      let n_wires = Netlist.n_wires nl in
+      let inputs =
+        Array.of_list
+          (List.map (fun (p : Netlist.port) -> p.Netlist.port_wires.(0)) nl.Netlist.inputs)
+      in
+      let support = Array.make n_wires 0 in
+      Array.iteri (fun i w -> support.(w) <- 1 lsl i) inputs;
+      Array.iter
+        (fun gid ->
+          let g = nl.Netlist.gates.(gid) in
+          support.(g.Netlist.output) <-
+            Array.fold_left (fun acc w -> acc lor support.(w)) 0 g.Netlist.inputs)
+        nl.Netlist.topo;
+      let drives =
+        List.filter_map
+          (fun j ->
+            if Prng.bool rng then None
+            else begin
+              let below = (1 lsl j) - 1 in
+              let sources =
+                List.filter (fun w -> support.(w) land lnot below = 0) (List.init n_wires Fun.id)
+              in
+              Some (inputs.(j), Prng.pick rng sources, Prng.bool rng)
+            end)
+          (List.init (Array.length inputs) Fun.id)
+      in
+      let driven w = List.exists (fun (i, _, _) -> i = w) drives in
+      let sim = Sim.create nl in
+      Sim.add_device sim
+        (Sim.pure_device "driver" (fun read write ->
+             List.iter (fun (i, src, inv) -> write i (read src <> inv)) drives));
+      (* Reference: flop Qs and free inputs as the simulator holds them,
+         driven inputs from an arbitrary start, then whole-netlist passes
+         and device writes until nothing changes. *)
+      let reference () =
+        let v = Array.init n_wires (fun w -> if driven w then false else Sim.peek sim w) in
+        let rec settle rounds =
+          if rounds > 10 then failwith "reference failed to settle";
+          Array.iter
+            (fun gid ->
+              let g = nl.Netlist.gates.(gid) in
+              v.(g.Netlist.output) <-
+                Cell.eval g.Netlist.cell (Array.map (fun w -> v.(w)) g.Netlist.inputs))
+            nl.Netlist.topo;
+          let changed = ref false in
+          List.iter
+            (fun (i, src, inv) ->
+              let x = v.(src) <> inv in
+              if v.(i) <> x then begin
+                v.(i) <- x;
+                changed := true
+              end)
+            drives;
+          if !changed then settle (rounds + 1)
+        in
+        settle 0;
+        v
+      in
+      let ok = ref true in
+      for _ = 1 to cycles do
+        Array.iter (fun w -> if not (driven w) then Sim.set_input sim w (Prng.bool rng)) inputs;
+        Sim.eval sim;
+        let want = reference () in
+        Array.iteri (fun w x -> if Sim.peek sim w <> x then ok := false) want;
+        Sim.latch sim
+      done;
+      !ok)
+
 let suite =
   [
     Alcotest.test_case "combinational eval" `Quick test_eval_figure1;
@@ -182,4 +262,5 @@ let suite =
     Alcotest.test_case "combinational ROM device" `Quick test_device_rom;
     Alcotest.test_case "device state in snapshots" `Quick test_device_state_save;
     Alcotest.test_case "trace matches live simulation" `Quick test_counter_netlist_trace_vs_sim;
+    QCheck_alcotest.to_alcotest prop_device_rounds_fixed_point;
   ]
