@@ -43,13 +43,7 @@ let () =
       (Replay.reduction_percent set triggers ~space ())
   in
   show "all flip-flops:" (Fault_space.full nl ~cycles);
-  show "register file only:"
-    (let space = Fault_space.full nl ~cycles in
-     {
-       space with
-       Fault_space.flops =
-         Array.of_list (Netlist.flops_matching nl ~prefix:"rf_");
-     });
+  show "register file only:" (Fault_space.only_prefix nl ~prefix:"rf_" ~cycles);
   show "microarchitecture (w/o RF):" (Fault_space.without_prefix nl ~prefix:"rf_" ~cycles);
   print_endline
     "  -> intra-cycle masking concentrates outside the register file,\n\

@@ -32,9 +32,8 @@ let check_model model flops =
          (Array.length flops))
   | _ -> ()
 
-let full ?(model = Fault_model.Seu) netlist ~cycles =
+let of_flops model netlist flops ~cycles =
   check_cycles cycles;
-  let flops = Array.copy netlist.Netlist.flops in
   check_model model flops;
   {
     netlist;
@@ -46,19 +45,14 @@ let full ?(model = Fault_model.Seu) netlist ~cycles =
     cone_lock = Mutex.create ();
   }
 
+let full ?(model = Fault_model.Seu) netlist ~cycles =
+  of_flops model netlist (Array.copy netlist.Netlist.flops) ~cycles
+
 let without_prefix ?(model = Fault_model.Seu) netlist ~prefix ~cycles =
-  check_cycles cycles;
-  let flops = Array.of_list (Netlist.flops_excluding netlist ~prefix) in
-  check_model model flops;
-  {
-    netlist;
-    flops;
-    cycles;
-    index = make_index netlist flops;
-    model;
-    cone_cache = Hashtbl.create 64;
-    cone_lock = Mutex.create ();
-  }
+  of_flops model netlist (Array.of_list (Netlist.flops_excluding netlist ~prefix)) ~cycles
+
+let only_prefix ?(model = Fault_model.Seu) netlist ~prefix ~cycles =
+  of_flops model netlist (Array.of_list (Netlist.flops_matching netlist ~prefix)) ~cycles
 
 (* How many distinct keys the model enumerates: what the sampler draws
    its first coordinate from. *)

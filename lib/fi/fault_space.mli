@@ -28,6 +28,11 @@ val without_prefix :
   ?model:Fault_model.t -> Pruning_netlist.Netlist.t -> prefix:string -> cycles:int -> t
 (** Excluding a named register bank, e.g. the register file ("FF w/o RF"). *)
 
+val only_prefix :
+  ?model:Fault_model.t -> Pruning_netlist.Netlist.t -> prefix:string -> cycles:int -> t
+(** Only a named register bank, e.g. the register file: the complement
+    of {!without_prefix}. *)
+
 val n_keys : t -> int
 (** Distinct fault keys the model enumerates: |flops| for [Seu] and
     [Intermittent], |gates| for [Set], |flops| - K + 1 for [Mbu K]. *)

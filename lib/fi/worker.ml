@@ -29,6 +29,18 @@ type report = {
    report [Stopped]. *)
 exception Stop
 
+(* A lease window on the lane kernels gathers chunks until it holds
+   about this many samples: four full passes of the delta lanes. *)
+let window_samples = 4 * Campaign.max_delta_lanes
+
+(* One chunk's outgoing verdict stream. *)
+type stream = {
+  push : int -> Journal.outcome -> unit;
+  flush : unit -> unit;
+  alive : unit -> unit;
+  finish : unit -> unit;
+}
+
 let outcome_of_verdict : Campaign.verdict -> Journal.outcome = function
   | Campaign.Benign -> Journal.Benign
   | Campaign.Latent -> Journal.Latent
@@ -146,14 +158,20 @@ let run ~host ~port ~resolve ?name ?(heartbeat = 1.) ?(recv_timeout = 30.) ?(ret
       (e, samples, w)
   in
   (* ---------------------------------------------------------------- *)
-  (* One chunk, scalar or batched, streaming results as they appear.   *)
-  let run_chunk fd engine samples cworker { Proto.chunk_id; lo; hi; model; model_param; purpose = _ } =
-    let own = engine.space.Fault_space.model in
+  (* Chunk execution. Each chunk streams its verdicts as Results frames *)
+  (* of [results_per_frame], then [Chunk_done]; the lane kernels may    *)
+  (* classify a whole lease window in one batch before streaming.       *)
+  let check_pin { Proto.chunk_id; model; model_param; _ } own =
     if model <> Fault_model.id own || model_param <> Fault_model.param own then
       raise
         (Proto.Error
            (Printf.sprintf "chunk %d pins fault model %d:%d but the campaign is %s"
-              chunk_id model model_param (Fault_model.name own)));
+              chunk_id model model_param (Fault_model.name own)))
+  in
+  (* One chunk's verdict stream: [push] accumulates (and flushes full
+     frames), [alive] heartbeats a long silence, [finish] flushes the
+     tail and retires the lease with [Chunk_done]. *)
+  let open_stream fd chunk_id =
     let last_sent = ref (Mono.now ()) in
     let tell msg =
       Proto.send ?chaos fd msg;
@@ -193,6 +211,134 @@ let run ~host ~port ~resolve ?name ?(heartbeat = 1.) ?(recv_timeout = 30.) ?(ret
       if Mono.now () -. !last_sent > heartbeat then
         if !acc_n > 0 then flush () else tell Proto.Heartbeat
     in
+    let finish () =
+      flush ();
+      tell (Proto.Chunk_done { chunk_id });
+      incr chunks
+    in
+    { push; flush; alive; finish }
+  in
+  let fault_hook ~chunk_id ~index ~attempt =
+    match fault with
+    | Some f -> f ~chunk_id ~index ~attempt
+    | None -> ()
+  in
+  (* Infrastructure chaos around one experiment attempt: a [Crash]
+     raises {!Chaos.Injected}, which the supervisor retries without
+     consuming its retry budget — injected faults must never turn a
+     healthy experiment into a [Crashed] verdict. *)
+  let exec_chaos () =
+    match Option.map (fun c -> Chaos.draw c Chaos.Exec) chaos with
+    | Some Chaos.Crash -> raise (Chaos.Injected "experiment crashed")
+    | Some (Chaos.Stall s) -> Unix.sleepf s
+    | _ -> ()
+  in
+  (* Supervise one experiment like {!Durable}: chaos, then the test hook
+     for [attempt], then [f]; a raising experiment is recovered and
+     retried with backoff up to [retries] times, [None] once the budget
+     is spent. *)
+  let supervised ~retries ~hook ~recover f =
+    Backoff.reset ebo;
+    let rec attempt k =
+      match
+        exec_chaos ();
+        hook k;
+        f ()
+      with
+      | v -> Some v
+      | exception Stop -> raise Stop
+      | exception Chaos.Injected _ -> attempt k
+      | exception _ ->
+        recover ();
+        if k < retries then begin
+          Unix.sleepf (Backoff.next ebo);
+          attempt (k + 1)
+        end
+        else None
+    in
+    attempt 0
+  in
+  (* The skip predicate splits a chunk into pruned and unpruned sample
+     indices, each in ascending order. *)
+  let partition engine samples { Proto.lo; hi; _ } =
+    let skipped = ref [] and inject = ref [] in
+    for idx = hi downto lo do
+      let flop_id, cycle = samples.(idx) in
+      match engine.skip with
+      | Some f when f ~flop_id ~cycle -> skipped := idx :: !skipped
+      | _ -> inject := idx :: !inject
+    done;
+    (!skipped, Array.of_list !inject)
+  in
+  (* A lane kernel's whole-batch injector and its recovery action. *)
+  let lane_ops engine = function
+    | Campaign.Delta_batched ->
+      ( (fun faults -> Campaign.inject_delta_batch engine.campaign ~space:engine.space ~faults ()),
+        fun () -> Campaign.reset_delta_batch_worker engine.campaign )
+    | _ ->
+      ( (fun faults -> Campaign.inject_batch engine.campaign ~faults ()),
+        fun () -> Campaign.reset_lane_worker engine.campaign )
+  in
+  (* Stream one lane-classified chunk: pruned samples first, then the
+     unpruned ones — [None] reports them [Crashed]. *)
+  let emit_lane_chunk fd { Proto.chunk_id; _ } skipped inject verdicts =
+    let s = open_stream fd chunk_id in
+    List.iter (fun idx -> s.push idx Journal.Skipped) skipped;
+    (match verdicts with
+    | None ->
+      crashes := !crashes + Array.length inject;
+      Array.iter (fun idx -> s.push idx Journal.Crashed) inject
+    | Some v -> Array.iteri (fun j idx -> s.push idx (outcome_of_verdict v.(j))) inject);
+    s.finish ()
+  in
+  (* One chunk on a lane kernel, in one supervised batch. *)
+  let run_lane_chunk fd engine samples (inject_all, recover) ({ Proto.chunk_id; _ } as chunk) =
+    let skipped, inject = partition engine samples chunk in
+    let verdicts =
+      if Array.length inject = 0 then Some [||]
+      else
+        supervised ~retries ~recover
+          ~hook:(fun attempt -> fault_hook ~chunk_id ~index:inject.(0) ~attempt)
+          (fun () -> inject_all (Array.map (fun idx -> samples.(idx)) inject))
+    in
+    emit_lane_chunk fd chunk skipped inject verdicts
+  in
+  (* A lease window on a lane kernel: the union of every chunk's
+     unpruned samples in one batch, so the lanes stay full and the
+     window shares one sweep. Any failure of the merged batch (other
+     than injected chaos) falls back to the per-chunk path for every
+     chunk, which attributes [Crashed] verdicts and retries per chunk
+     exactly as a one-chunk window does. *)
+  let run_lane_window fd engine samples ((inject_all, recover) as ops) window =
+    let parts = List.map (fun chunk -> (chunk, partition engine samples chunk)) window in
+    let faults =
+      Array.map (fun idx -> samples.(idx)) (Array.concat (List.map (fun (_, (_, i)) -> i) parts))
+    in
+    let merged =
+      if Array.length faults = 0 then Some [||]
+      else
+        supervised ~retries:0 ~recover
+          ~hook:(fun attempt ->
+            List.iter
+              (fun ({ Proto.chunk_id; _ }, (_, inject)) ->
+                if Array.length inject > 0 then fault_hook ~chunk_id ~index:inject.(0) ~attempt)
+              parts)
+          (fun () -> inject_all faults)
+    in
+    match merged with
+    | None -> List.iter (run_lane_chunk fd engine samples ops) window
+    | Some verdicts ->
+      ignore
+        (List.fold_left
+           (fun off (chunk, (skipped, inject)) ->
+             let n = Array.length inject in
+             emit_lane_chunk fd chunk skipped inject (Some (Array.sub verdicts off n));
+             off + n)
+           0 parts)
+  in
+  (* One chunk on a per-fault kernel (scalar or delta), streaming each
+     verdict as it appears. *)
+  let run_fault_chunk fd engine samples cworker kernel { Proto.chunk_id; lo; hi; _ } =
     let fresh_scalar () =
       let w = Campaign.fresh_worker engine.campaign in
       cworker := Some w;
@@ -203,130 +349,56 @@ let run ~host ~port ~resolve ?name ?(heartbeat = 1.) ?(recv_timeout = 30.) ?(ret
       | Some w -> w
       | None -> fresh_scalar ()
     in
-    let is_pruned ~flop_id ~cycle =
+    (* The two per-fault kernels share the chunk loop; they differ only
+       in the injector and in how a crashed worker is recovered. *)
+    let inject, recover =
+      match kernel with
+      | Campaign.Scalar ->
+        ( (fun ~flop_id ~cycle ->
+            Campaign.inject_fault engine.campaign (get_scalar ()) ~space:engine.space ~key:flop_id
+              ~cycle),
+          fun () -> ignore (fresh_scalar ()) )
+      | _ ->
+        ( (fun ~flop_id ~cycle ->
+            Campaign.inject_fault_delta engine.campaign ~space:engine.space ~key:flop_id ~cycle),
+          fun () -> Campaign.reset_delta_worker engine.campaign )
+    in
+    let s = open_stream fd chunk_id in
+    for idx = lo to hi do
+      if should_stop () then begin
+        s.flush ();
+        raise Stop
+      end;
+      let flop_id, cycle = samples.(idx) in
       match engine.skip with
-      | Some f -> f ~flop_id ~cycle
-      | None -> false
-    in
-    let fault_hook ~index ~attempt =
-      match fault with
-      | Some f -> f ~chunk_id ~index ~attempt
-      | None -> ()
-    in
-    (* Infrastructure chaos around one experiment attempt: a [Crash]
-       raises {!Chaos.Injected}, which the supervisor retries without
-       consuming its retry budget — injected faults must never turn a
-       healthy experiment into a [Crashed] verdict. *)
-    let exec_chaos () =
-      match Option.map (fun c -> Chaos.draw c Chaos.Exec) chaos with
-      | Some Chaos.Crash -> raise (Chaos.Injected "experiment crashed")
-      | Some (Chaos.Stall s) -> Unix.sleepf s
-      | _ -> ()
-    in
-    (match Campaign.effective_kernel ~model:engine.space.Fault_space.model engine.kernel with
-    | (Campaign.Batched | Campaign.Delta_batched) as kernel -> begin
-      (* Classify the skip decisions first, then push the remainder
-         through a whole-chunk engine (lane-parallel or batched-delta)
-         in one supervised batch. *)
-      let inject_all, recover =
-        match kernel with
-        | Campaign.Delta_batched ->
-          ( (fun ~faults ->
-              Campaign.inject_delta_batch engine.campaign ~space:engine.space ~faults ()),
-            fun () -> Campaign.reset_delta_batch_worker engine.campaign )
-        | _ ->
-          ( (fun ~faults -> Campaign.inject_batch engine.campaign ~faults ()),
-            fun () -> Campaign.reset_lane_worker engine.campaign )
-      in
-      alive ();
-      let inject_idx = ref [] in
-      for idx = lo to hi do
-        let flop_id, cycle = samples.(idx) in
-        if is_pruned ~flop_id ~cycle then push idx Journal.Skipped
-        else inject_idx := idx :: !inject_idx
-      done;
-      let inject_idx = Array.of_list (List.rev !inject_idx) in
-      if Array.length inject_idx > 0 then begin
-        let faults = Array.map (fun idx -> samples.(idx)) inject_idx in
-        Backoff.reset ebo;
-        let rec attempt k =
-          match
-            exec_chaos ();
-            fault_hook ~index:inject_idx.(0) ~attempt:k;
-            inject_all ~faults
-          with
-          | verdicts -> Some verdicts
-          | exception Stop -> raise Stop
-          | exception Chaos.Injected _ -> attempt k
-          | exception _ ->
-            recover ();
-            if k < retries then begin
-              Unix.sleepf (Backoff.next ebo);
-              attempt (k + 1)
-            end
-            else None
-        in
-        match attempt 0 with
+      | Some f when f ~flop_id ~cycle -> s.push idx Journal.Skipped
+      | _ ->
+        (match
+           supervised ~retries ~recover
+             ~hook:(fun attempt -> fault_hook ~chunk_id ~index:idx ~attempt)
+             (fun () -> inject ~flop_id ~cycle)
+         with
         | None ->
-          crashes := !crashes + Array.length inject_idx;
-          Array.iter (fun idx -> push idx Journal.Crashed) inject_idx
-        | Some verdicts ->
-          Array.iteri (fun j idx -> push idx (outcome_of_verdict verdicts.(j))) inject_idx
-      end
-    end
-    | (Campaign.Scalar | Campaign.Delta) as kernel ->
-      (* The two per-fault kernels share the chunk loop; they differ only
-         in the injector and in how a crashed worker is recovered. *)
-      let inject, recover =
-        match kernel with
-        | Campaign.Scalar ->
-          ( (fun ~flop_id ~cycle ->
-              Campaign.inject_fault engine.campaign (get_scalar ()) ~space:engine.space
-                ~key:flop_id ~cycle),
-            fun () -> ignore (fresh_scalar ()) )
-        | _ ->
-          ( (fun ~flop_id ~cycle ->
-              Campaign.inject_fault_delta engine.campaign ~space:engine.space ~key:flop_id
-                ~cycle),
-            fun () -> Campaign.reset_delta_worker engine.campaign )
-      in
-      for idx = lo to hi do
-        if should_stop () then begin
-          flush ();
-          raise Stop
-        end;
-        let flop_id, cycle = samples.(idx) in
-        if is_pruned ~flop_id ~cycle then push idx Journal.Skipped
-        else begin
-          Backoff.reset ebo;
-          let rec attempt k =
-            match
-              exec_chaos ();
-              fault_hook ~index:idx ~attempt:k;
-              inject ~flop_id ~cycle
-            with
-            | v -> Some v
-            | exception Stop -> raise Stop
-            | exception Chaos.Injected _ -> attempt k
-            | exception _ ->
-              recover ();
-              if k < retries then begin
-                Unix.sleepf (Backoff.next ebo);
-                attempt (k + 1)
-              end
-              else None
-          in
-          (match attempt 0 with
-          | None ->
-            incr crashes;
-            push idx Journal.Crashed
-          | Some v -> push idx (outcome_of_verdict v));
-          alive ()
-        end
-      done);
-    flush ();
-    tell (Proto.Chunk_done { chunk_id });
-    incr chunks
+          incr crashes;
+          s.push idx Journal.Crashed
+        | Some v -> s.push idx (outcome_of_verdict v));
+        s.alive ()
+    done;
+    s.finish ()
+  in
+  (* The chunks of one lease window, in lease order (a one-chunk window
+     for the per-fault kernels and for chunks of [window_samples] or
+     more). *)
+  let run_window fd engine samples cworker kernel window =
+    List.iter (fun chunk -> check_pin chunk engine.space.Fault_space.model) window;
+    match kernel with
+    | Campaign.Batched | Campaign.Delta_batched -> (
+      let ops = lane_ops engine kernel in
+      match window with
+      | [ chunk ] -> run_lane_chunk fd engine samples ops chunk
+      | _ -> run_lane_window fd engine samples ops window)
+    | Campaign.Scalar | Campaign.Delta ->
+      List.iter (run_fault_chunk fd engine samples cworker kernel) window
   in
   (* ---------------------------------------------------------------- *)
   (* One session: handshake, then pull work until Done/Stop/error.     *)
@@ -365,13 +437,42 @@ let run ~host ~port ~resolve ?name ?(heartbeat = 1.) ?(recv_timeout = 30.) ?(ret
          reconnect accounting starts afresh. *)
       failures := 0;
       Backoff.reset rbo;
+      let kernel = Campaign.effective_kernel ~model:engine.space.Fault_space.model engine.kernel in
+      let lanes = kernel = Campaign.Batched || kernel = Campaign.Delta_batched in
+      (* A lane kernel given a chunk of s < [window_samples] samples asks
+         for ceil(window_samples / s) - 1 more leases back to back, then
+         reads every reply: an [Assign] of any purpose joins the window,
+         [Wait] is skipped, [Done] ends the session once the window is
+         through. Returns the window in lease order. *)
+      let gather first =
+        let s = first.Proto.hi - first.Proto.lo + 1 in
+        if (not lanes) || s >= window_samples then ([ first ], false)
+        else begin
+          let extra = ((window_samples + s - 1) / s) - 1 in
+          for _ = 1 to extra do
+            Proto.send ?chaos fd Proto.Request
+          done;
+          let rec replies acc finished k =
+            if k = 0 then (List.rev acc, finished)
+            else
+              match recv fd with
+              | Proto.Assign chunk -> replies (chunk :: acc) finished (k - 1)
+              | Proto.Wait -> replies acc finished (k - 1)
+              | Proto.Done -> replies acc true (k - 1)
+              | Proto.Heartbeat -> replies acc finished k
+              | _ -> raise (Proto.Error "unexpected message from coordinator")
+          in
+          replies [ first ] false extra
+        end
+      in
       let rec loop () =
         if should_stop () then raise Stop;
         Proto.send ?chaos fd Proto.Request;
         match recv fd with
         | Proto.Assign chunk ->
-          run_chunk fd engine samples cworker chunk;
-          loop ()
+          let window, finished = gather chunk in
+          run_window fd engine samples cworker kernel window;
+          if finished then Campaign_done else loop ()
         | Proto.Wait ->
           Unix.sleepf 0.1;
           loop ()

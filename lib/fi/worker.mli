@@ -9,7 +9,8 @@
 
     Workers hold no campaign state the coordinator depends on: killing
     one — SIGKILL included — costs at most the un-submitted remainder of
-    its current chunk, which the coordinator re-dispatches. Conversely a
+    its current lease window (at most max(chunk, 252 + chunk − 1)
+    samples), which the coordinator re-dispatches. Conversely a
     worker outliving its coordinator reconnects with capped exponential
     backoff ({!Pruning_util.Backoff}) and gives up cleanly after
     [max_reconnects] consecutive failures.
@@ -28,7 +29,22 @@
     Experiments are
     supervised exactly like {!Durable}: a raising experiment is retried
     on a fresh system with backoff, a persistent failure is reported as
-    [Crashed]. *)
+    [Crashed].
+
+    {b Lease windows.} The lane kernels ([Delta_batched], and [Batched]
+    under [Seu]; see {!Campaign.effective_kernel}) fill their lanes
+    across chunks. Given a chunk of s < 252 samples (four passes of
+    {!Campaign.max_delta_lanes}), the worker sends ceil(252 / s) − 1
+    further [Request]s back to back and reads every reply: an [Assign]
+    of any purpose joins the window, [Wait] is skipped, [Done] ends the
+    session once the window is through. The unpruned samples of the
+    whole window are classified in one supervised lane batch; if that
+    batch fails, every chunk of the window is rerun on the per-chunk
+    path, so [Crashed] verdicts and retries stay attributed per chunk.
+    Each chunk then streams exactly the frames a one-chunk worker sends
+    (its Results frames, then [Chunk_done]), in lease order. Chunks of
+    252 samples or more, and the per-fault kernels, take one lease at a
+    time. *)
 
 type engine = {
   campaign : Campaign.t;

@@ -360,20 +360,27 @@ let test_parity_toy () =
       if prune then check_bool (label ^ ": something pruned") true (reference.Campaign.skipped > 0))
     [ false; true ]
 
-(* Distributed-vs-local parity on the real cores, with a mixed fleet:
-   one scalar, one batched and one delta worker (their verdicts are
-   bit-identical, so mixing kernels is legal). *)
-let check_parity_core label makers =
-  let build () =
-    let nl, make, make_lanes, make_delta = makers in
-    let space = Fault_space.full nl ~cycles:120 in
-    let campaign = Campaign.create ~make ~make_lanes ~make_delta ~total_cycles:120 () in
-    (space, campaign)
+(* A real core's fault space and campaign at [cycles], with every
+   engine enabled. *)
+let core_build (nl, make, make_lanes, make_delta, make_delta_batch) ~cycles =
+  let space = Fault_space.full nl ~cycles in
+  let campaign =
+    Campaign.create ~make ~make_lanes ~make_delta ~make_delta_batch ~total_cycles:cycles ()
   in
+  (space, campaign)
+
+let core_engine makers ?skip kernel _ =
+  let space, campaign = core_build makers ~cycles:120 in
+  { Worker.campaign; space; skip; kernel }
+
+(* Distributed-vs-local parity on the real cores, with a mixed fleet:
+   one scalar, one batched, one delta and one delta-batched worker
+   (their verdicts are bit-identical, so mixing kernels is legal). *)
+let check_parity_core label makers =
   let n = 200 in
   let seed = 7 in
   let reference =
-    let space, campaign = build () in
+    let space, campaign = core_build makers ~cycles:120 in
     Campaign.run_sample campaign ~space ~rng:(Prng.create seed) ~n ()
   in
   let config = { test_config with Coordinator.chunk_size = 16 } in
@@ -381,22 +388,18 @@ let check_parity_core label makers =
   let port = Coordinator.port coord in
   let header = make_header ~core:label ~program:"fib" ~cycles:120 ~samples:n ~seed () in
   let join = serve_bg coord ~header () in
-  let engine kernel _ =
-    let space, campaign = build () in
-    { Worker.campaign; space; skip = None; kernel }
-  in
+  let engine kernel = core_engine makers kernel in
   let w1 = work_bg ~port ~name:"scalar" ~resolve:(engine Campaign.Scalar) () in
   let w2 = work_bg ~port ~name:"batched" ~resolve:(engine Campaign.Batched) () in
   let w3 = work_bg ~port ~name:"delta" ~resolve:(engine Campaign.Delta) () in
-  let r1 = w1 () and r2 = w2 () and r3 = w3 () in
+  let w4 = work_bg ~port ~name:"delta-batched" ~resolve:(engine Campaign.Delta_batched) () in
+  let reports = [ w1 (); w2 (); w3 (); w4 () ] in
   let r = join () in
   check_bool (label ^ ": completed") true r.Coordinator.completed;
   check_int (label ^ ": mismatches") 0 r.Coordinator.mismatches;
   check_stats (label ^ ": mixed fleet parity") reference r.Coordinator.stats;
   check_bool (label ^ ": all finished") true
-    (r1.Worker.ended = Worker.Campaign_done
-    && r2.Worker.ended = Worker.Campaign_done
-    && r3.Worker.ended = Worker.Campaign_done)
+    (List.for_all (fun rep -> rep.Worker.ended = Worker.Campaign_done) reports)
 
 let avr_makers () =
   let nl = System.avr_netlist () in
@@ -404,7 +407,8 @@ let avr_makers () =
   ( nl,
     (fun () -> System.create_avr ~netlist:nl ~program "avr/fib"),
     (fun () -> System.create_avr_lanes ~netlist:nl ~program "avr/fib"),
-    fun ~trace -> System.create_avr_delta ~netlist:nl ~program ~trace "avr/fib" )
+    (fun ~trace -> System.create_avr_delta ~netlist:nl ~program ~trace "avr/fib"),
+    fun ~trace -> System.create_avr_delta_batch ~netlist:nl ~program ~trace "avr/fib" )
 
 let msp_makers () =
   let nl = System.msp_netlist () in
@@ -412,10 +416,200 @@ let msp_makers () =
   ( nl,
     (fun () -> System.create_msp ~netlist:nl ~program "msp/fib"),
     (fun () -> System.create_msp_lanes ~netlist:nl ~program "msp/fib"),
-    fun ~trace -> System.create_msp_delta ~netlist:nl ~program ~trace "msp/fib" )
+    (fun ~trace -> System.create_msp_delta ~netlist:nl ~program ~trace "msp/fib"),
+    fun ~trace -> System.create_msp_delta_batch ~netlist:nl ~program ~trace "msp/fib" )
 
 let test_parity_avr () = check_parity_core "avr" (avr_makers ())
 let test_parity_msp () = check_parity_core "msp430" (msp_makers ())
+
+(* --- lease windows on the lane kernels ------------------------------- *)
+
+(* An AVR campaign the lane-window tests share: 320 samples, so chunks
+   of 4 and 16 divide it evenly and a full window leaves chunks over. *)
+let window_n = 320
+let window_seed = 7
+let window_header () =
+  make_header ~core:"avr" ~program:"fib" ~cycles:120 ~samples:window_n ~seed:window_seed ()
+
+let avr_window_reference =
+  lazy
+    (let space, campaign = core_build (avr_makers ()) ~cycles:120 in
+     Campaign.run_sample campaign ~space ~rng:(Prng.create window_seed) ~n:window_n ())
+
+(* Leases held by the worker at once, from the coordinator's events:
+   each [Assigned] takes one, and each chunk retires as one Results frame
+   ([Progress]) followed by its [Chunk_done] — chunks of at most
+   [results_per_frame] samples, one lone worker, no cross-validation. *)
+let lease_tracker () =
+  let held = ref 0 and peak = ref 0 in
+  let on_event = function
+    | Coordinator.Assigned _ ->
+      incr held;
+      peak := max !peak !held
+    | Coordinator.Progress _ -> decr held
+    | _ -> ()
+  in
+  (on_event, fun () -> !peak)
+
+(* A lone delta-batched worker leases a window of ceil(252 / s) chunks
+   of s samples (252 = four passes of the delta lanes) and classifies it
+   in one batch; chunks of 252 or more are leased one at a time. Stats
+   equal the scalar reference either way. *)
+let test_lane_window_leases () =
+  let reference = Lazy.force avr_window_reference in
+  let makers = avr_makers () in
+  let window = 4 * Campaign.max_delta_lanes in
+  List.iter
+    (fun chunk_size ->
+      let label = Printf.sprintf "chunk %d" chunk_size in
+      let config = { test_config with Coordinator.chunk_size } in
+      let coord = Coordinator.create ~config () in
+      let port = Coordinator.port coord in
+      let on_event, peak = lease_tracker () in
+      let join = serve_bg coord ~header:(window_header ()) ~on_event () in
+      let w =
+        work_bg ~port ~name:"lanes" ~results_per_frame:256
+          ~resolve:(core_engine makers Campaign.Delta_batched)
+          ()
+      in
+      let rep = w () in
+      let r = join () in
+      check_bool (label ^ ": completed") true r.Coordinator.completed;
+      check_stats (label ^ ": scalar parity") reference r.Coordinator.stats;
+      check_bool (label ^ ": worker done") true (rep.Worker.ended = Worker.Campaign_done);
+      check_int (label ^ ": every chunk acknowledged")
+        ((window_n + chunk_size - 1) / chunk_size)
+        rep.Worker.chunks;
+      if chunk_size >= window then check_int (label ^ ": one lease at a time") 1 (peak ())
+      else begin
+        check_bool (label ^ ": several leases at once") true (peak () > 1);
+        check_bool
+          (Printf.sprintf "%s: at most ceil(%d / s) leases (peak %d)" label window (peak ()))
+          true
+          (peak () <= (window + chunk_size - 1) / chunk_size)
+      end)
+    [ 4; 16; 256 ]
+
+let journal_outcomes dir =
+  let _, entries, _ = Journal.load ~dir in
+  let out = Array.make window_n None in
+  Array.iter
+    (function
+      | Journal.Outcome (i, o) -> out.(i) <- Some o
+      | _ -> ())
+    entries;
+  out
+
+(* A [fault] hook that always raises for one chunk crashes exactly that
+   chunk's unpruned samples: the merged window batch fails, and the
+   per-chunk fallback attributes the crash like a one-chunk window
+   would — here, a delta worker running the same campaign chunk by
+   chunk. Every other verdict equals the local reference. *)
+let test_lane_window_crash_attribution () =
+  let makers = avr_makers () in
+  let skip ~flop_id ~cycle = (flop_id + cycle) mod 5 = 0 in
+  let chunk_size = 4 and victim_chunk = 5 in
+  let fast = { Pruning_util.Backoff.base = 0.001; cap = 0.002; factor = 2. } in
+  let run kernel =
+    let dir = scratch_dir () in
+    let config = { test_config with Coordinator.chunk_size } in
+    let coord = Coordinator.create ~config () in
+    let port = Coordinator.port coord in
+    let join = serve_bg coord ~header:(window_header ()) ~journal:dir () in
+    let w =
+      work_bg ~port ~name:(Campaign.kernel_name kernel) ~retry_backoff:fast
+        ~resolve:(core_engine makers ~skip kernel)
+        ~fault:(fun ~chunk_id ~index:_ ~attempt:_ ->
+          if chunk_id = victim_chunk then failwith "poisoned chunk")
+        ()
+    in
+    let rep = w () in
+    let r = join () in
+    let outcomes = journal_outcomes dir in
+    rm_rf dir;
+    (rep, r, outcomes)
+  in
+  let space, campaign = core_build makers ~cycles:120 in
+  let samples =
+    Campaign.draw_samples campaign ~space ~rng:(Prng.create window_seed) ~n:window_n
+  in
+  let local = Campaign.inject_delta_batch campaign ~faults:samples () in
+  let lo = victim_chunk * chunk_size in
+  let unpruned = ref 0 in
+  for i = lo to lo + chunk_size - 1 do
+    let flop_id, cycle = samples.(i) in
+    if not (skip ~flop_id ~cycle) then incr unpruned
+  done;
+  check_bool "the poisoned chunk has unpruned samples" true (!unpruned > 0);
+  let rep, r, outcomes = run Campaign.Delta_batched in
+  let rep1, r1, outcomes1 = run Campaign.Delta in
+  check_bool "completed" true r.Coordinator.completed;
+  check_int "crashed = the chunk's unpruned samples" !unpruned r.Coordinator.stats.Campaign.crashed;
+  check_int "worker reports the same crashes" !unpruned rep.Worker.crashes;
+  check_int "a one-chunk window crashes as many" r1.Coordinator.stats.Campaign.crashed
+    r.Coordinator.stats.Campaign.crashed;
+  check_int "one-chunk worker reports as many" rep1.Worker.crashes rep.Worker.crashes;
+  check_bool "journal identical to the one-chunk window's" true (outcomes = outcomes1);
+  Array.iteri
+    (fun i o ->
+      let flop_id, cycle = samples.(i) in
+      let expected =
+        if skip ~flop_id ~cycle then Journal.Skipped
+        else if i / chunk_size = victim_chunk then Journal.Crashed
+        else
+          match local.(i) with
+          | Campaign.Benign -> Journal.Benign
+          | Campaign.Latent -> Journal.Latent
+          | Campaign.Sdc c -> Journal.Sdc c
+      in
+      check_bool (Printf.sprintf "sample %d verdict" i) true (o = Some expected))
+    outcomes
+
+(* A delta-batched worker SIGKILLed while it holds a lease window (it
+   stalls in its first experiment, after gathering): every chunk of the
+   window is requeued, and a second worker completes the campaign to
+   the scalar reference stats. *)
+let test_lane_window_worker_death () =
+  let reference = Lazy.force avr_window_reference in
+  let config = { test_config with Coordinator.chunk_size = 16 } in
+  let coord = Coordinator.create ~config () in
+  let port = Coordinator.port coord in
+  let push, all = event_log () in
+  let join = serve_bg coord ~header:(window_header ()) ~on_event:push () in
+  let marker = scratch_dir () in
+  let victim_exe = Filename.concat (Filename.dirname Sys.executable_name) "dist_victim.exe" in
+  let victim =
+    Unix.create_process victim_exe
+      [| victim_exe; string_of_int port; "delta-batched"; marker |]
+      Unix.stdin Unix.stdout Unix.stderr
+  in
+  wait_for ~timeout:60. (fun () -> Sys.file_exists marker) "the victim to stall holding its window";
+  Unix.kill victim Sys.sigkill;
+  let _, status = Unix.waitpid [] victim in
+  check_bool "victim really SIGKILLed" true (status = Unix.WSIGNALED Sys.sigkill);
+  let survivor =
+    work_bg ~port ~name:"survivor" ~resolve:(core_engine (avr_makers ()) Campaign.Delta_batched) ()
+  in
+  let rep = survivor () in
+  let r = join () in
+  rm_rf marker;
+  let count pred = List.length (List.filter pred (all ())) in
+  let held =
+    count (function
+      | Coordinator.Assigned { worker = "victim"; _ } -> true
+      | _ -> false)
+  in
+  let requeued =
+    count (function
+      | Coordinator.Redispatched { worker = "victim"; _ } -> true
+      | _ -> false)
+  in
+  check_bool "victim held a window" true (held > 1);
+  check_int "every window chunk requeued" held requeued;
+  check_bool "completed" true r.Coordinator.completed;
+  check_stats "death parity" reference r.Coordinator.stats;
+  check_int "no mismatches" 0 r.Coordinator.mismatches;
+  check_bool "survivor finished" true (rep.Worker.ended = Worker.Campaign_done)
 
 (* A straggler: stalls mid-chunk long past its lease, so the chunk is
    re-dispatched and recomputed by the healthy worker — then the
@@ -629,6 +823,11 @@ let suite =
     Alcotest.test_case "parity: toy fleet, plain and pruned" `Quick test_parity_toy;
     Alcotest.test_case "parity: avr mixed scalar+batched+delta fleet" `Slow test_parity_avr;
     Alcotest.test_case "parity: msp430 mixed scalar+batched+delta fleet" `Slow test_parity_msp;
+    Alcotest.test_case "lane window: leases and scalar parity" `Slow test_lane_window_leases;
+    Alcotest.test_case "lane window: crash attributed per chunk" `Slow
+      test_lane_window_crash_attribution;
+    Alcotest.test_case "lane window: SIGKILLed holder requeues the window" `Slow
+      test_lane_window_worker_death;
     Alcotest.test_case "straggler lease re-dispatch + dedup" `Quick test_straggler_dedup;
     Alcotest.test_case "SIGKILLed worker mid-chunk" `Quick test_sigkill_worker;
     Alcotest.test_case "coordinator kill/resume from journal" `Quick test_coordinator_resume;

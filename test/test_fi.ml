@@ -27,6 +27,37 @@ let test_fault_space_sizes () =
   Alcotest.check_raises "bad cycles" (Invalid_argument "Fault_space: cycles must be positive")
     (fun () -> ignore (Fault_space.full nl ~cycles:0))
 
+(* Every space constructor keeps its dense index consistent with its
+   flop array: each member maps to its own position, every other netlist
+   flop to [None]. *)
+let test_flop_index_agrees () =
+  let nl = System.avr_netlist () in
+  let agrees label (space : Fault_space.t) =
+    let pos = Hashtbl.create 64 in
+    Array.iteri
+      (fun i (f : Netlist.flop) -> Hashtbl.replace pos f.Netlist.flop_id i)
+      space.Fault_space.flops;
+    Array.iter
+      (fun (f : Netlist.flop) ->
+        let id = f.Netlist.flop_id in
+        check_bool
+          (Printf.sprintf "%s: flop_index %d" label id)
+          true
+          (Fault_space.flop_index space id = Hashtbl.find_opt pos id))
+      nl.Netlist.flops
+  in
+  let full = Fault_space.full nl ~cycles:10 in
+  let without = Fault_space.without_prefix nl ~prefix:"rf_" ~cycles:10 in
+  let only = Fault_space.only_prefix nl ~prefix:"rf_" ~cycles:10 in
+  agrees "full" full;
+  agrees "without_prefix" without;
+  agrees "only_prefix" only;
+  check_bool "register file is a proper subset" true
+    (Array.length only.Fault_space.flops > 0
+    && Array.length only.Fault_space.flops < Array.length full.Fault_space.flops);
+  check_int "prefix split covers the netlist" (Array.length full.Fault_space.flops)
+    (Array.length only.Fault_space.flops + Array.length without.Fault_space.flops)
+
 (* A circuit where masking is fully understood: out = sel ? b : a, all of
    a, b, sel registered. A fault in register a is one-cycle benign iff
    sel = 1 (out unchanged AND a's next value overwrites the flip, which it
@@ -203,6 +234,7 @@ let test_golden_trace_is_record () =
 let suite =
   [
     Alcotest.test_case "fault space sizes" `Quick test_fault_space_sizes;
+    Alcotest.test_case "flop_index agrees with flops per constructor" `Quick test_flop_index_agrees;
     Alcotest.test_case "oracle on mux circuit" `Quick test_oracle_mux;
     Alcotest.test_case "oracle restores state" `Quick test_oracle_restores_state;
     Alcotest.test_case "oracle sweep counter" `Quick test_oracle_sweep_counter;
